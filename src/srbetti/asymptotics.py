@@ -12,19 +12,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .complexes import (
     GateError,
     SimplicialComplex,
     cycle,
-    simplex,
     stacked_attach,
     stacked_sphere,
 )
-from .homology import GF2, boundary_matrix, kernel_basis
+from .homology import GF2, _eliminate, boundary_matrix, kernel_basis, nullspace
 from .hochster import graded_betti_table
-from .subdivision import barycentric, barycentric_iter, edgewise, interior_vertices
+from .subdivision import barycentric, barycentric_iter, edgewise
 
 LAMBDA_GATE = 8
 CYCLE_ENUM_GATE = 1 << 20
@@ -39,22 +38,18 @@ def sd_transfer_matrix(d):
     barycentric subdivision, rows and columns indexed -1..d-1.
 
     Entry (i, j) counts the j-dimensional faces in the interior of the
-    subdivided i-simplex, obtained here by constructing that subdivision
-    and discarding the faces of its boundary complex.  Row -1 is the unit
+    subdivided i-simplex.  Such a face is a chain of faces ending at the
+    whole simplex, i.e. an ordered partition of its i+1 vertices into j+1
+    blocks, so the entry is (j+1)! S(i+1, j+1), the number of surjections
+    from i+1 points onto j+1 (Brenti and Welker).  Row -1 is the unit
     vector for the empty face.
     """
     if not 1 <= d <= LAMBDA_GATE:
         raise GateError(f"transfer matrix gated at d <= {LAMBDA_GATE}")
-    size = d + 1
-    mat = [[0] * size for _ in range(size)]
-    mat[0][0] = 1
-    for i in range(d):
-        sub = barycentric(simplex(i))
-        bset = sub.boundary_complex().face_set
-        for jdim in range(i + 1):
-            mat[i + 1][jdim + 1] = sum(
-                1 for f in sub.faces_of_dim(jdim) if f not in bset)
-    return tuple(tuple(row) for row in mat)
+    return tuple(tuple(sum((-1) ** t * comb(k, t) * (k - t) ** n
+                           for t in range(k + 1))
+                       for k in range(d + 1))
+                 for n in range(d + 1))
 
 
 def f_iterate_sd(f, r):
@@ -76,50 +71,20 @@ def _mat_mul(a, b):
 
 
 def _mat_inv(a):
-    n = len(a)
-    m = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(i == j) for j in range(n)]
-         for i in range(n)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        m[c], m[piv] = m[piv], m[c]
-        pv = m[c][c]
-        m[c] = [x / pv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c]:
-                fi = m[i][c]
-                m[i] = [x - fi * y for x, y in zip(m[i], m[c])]
-    return [row[n:] for row in m]
+    """Exact inverse of a square rational matrix.
 
-
-def _kernel_of(a):
-    """Deterministic rational kernel basis, one vector per free column."""
+    Rows of [a | I] are scaled to integers and reduced by one Jordan pass,
+    which leaves [D*I | D*a^-1] for a common pivot D.
+    """
     n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                fi = m[i][c]
-                m[i] = [x - fi * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    basis = []
-    for fc in (c for c in range(n) if c not in pivots):
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            v[pc] = -m[ri][fc]
-        basis.append(v)
-    return basis
+    m = []
+    for i, row in enumerate(a):
+        row = [Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
+        scale = lcm(*(x.denominator for x in row))
+        m.append([int(x * scale) for x in row])
+    if _eliminate(m, 0, True) != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(m)]
 
 
 @dataclass
@@ -159,9 +124,9 @@ def eigendecompose(mat):
         if lam in seen:
             continue
         seen.add(lam)
-        shifted = [[Fraction(mat[i][j]) - (lam if i == j else 0)
-                    for j in range(size)] for i in range(size)]
-        basis = _kernel_of(shifted)
+        shifted = [[mat[i][j] - (lam if i == j else 0) for j in range(size)]
+                   for i in range(size)]
+        basis = nullspace(shifted, size)
         if len(basis) != eigenvalues.count(lam):
             raise ValueError("transfer matrix failed to diagonalize")
         columns.extend(basis)
@@ -217,9 +182,9 @@ def limit_vertex_constant(d):
 
 def interior_vertex_count_after_3(d):
     """Number of vertices of the 3-fold subdivided (d-1)-simplex that lie
-    off its boundary (the window offset for iterated subdivision)."""
-    sub = barycentric_iter(simplex(d - 1), 3)
-    return len(interior_vertices(sub))
+    off its boundary (the window offset for iterated subdivision): the
+    vertex entry of the open simplex's f-vector after three transfers."""
+    return f_iterate_sd((0,) * d + (1,), 3)[1]
 
 
 # -- edgewise vertex counts -----------------------------------------------------
@@ -402,9 +367,9 @@ def verify_last_strand(c, r, field, mode="bary", vertex_gate=22, workers=1,
     report["method"] = "witnesses"
     report["window"] = (lo, pdim)
     if mode == "bary":
-        sigma_vertices = _subdivided_support_vertices_bary(c, r, mc)
+        sigma_vertices = _subdivided_support_vertices_bary(c, r, mc, sub)
     else:
-        sigma_vertices = _subdivided_support_vertices_edge(c, r, mc)
+        sigma_vertices = _subdivided_support_vertices_edge(mc, sub)
     rest = [v for v in range(sub.n) if v not in set(sigma_vertices)]
     ok = True
     from .homology import rank_exact
@@ -421,8 +386,7 @@ def verify_last_strand(c, r, field, mode="bary", vertex_gate=22, workers=1,
     return report
 
 
-def _subdivided_support_vertices_bary(c, r, mc):
-    sub = barycentric_iter(c, r)
+def _subdivided_support_vertices_bary(c, r, mc, sub):
     support = set(mc.induced.face_set) - {()}
     cur = c
     keep = None
@@ -438,8 +402,7 @@ def _subdivided_support_vertices_bary(c, r, mc):
     return sorted(keep)
 
 
-def _subdivided_support_vertices_edge(c, r, mc):
-    sub = edgewise(c, r)
+def _subdivided_support_vertices_edge(mc, sub):
     support_faces = set(mc.induced.face_set) - {()}
     keep = []
     for i, lab in enumerate(sub.labels):

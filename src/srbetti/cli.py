@@ -30,12 +30,22 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
+def _env_int(name, default):
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {text!r}") from None
+
+
 def _default_gate():
-    return int(os.environ.get("SRBETTI_GATE", hochster.DEFAULT_VERTEX_GATE))
+    return _env_int("SRBETTI_GATE", hochster.DEFAULT_VERTEX_GATE)
 
 
 def _default_workers():
-    return int(os.environ.get("SRBETTI_WORKERS", 1))
+    return _env_int("SRBETTI_WORKERS", 1)
 
 
 def _table_csv(table):
@@ -184,15 +194,17 @@ def _suite_thm_bar(args):
 
 
 def _suite_edgewise(args):
+    items = []
     field = FieldSpec.parse(args.field)
-    d = args.dims[0]
-    rep = formulas.verify_predictions("edgewise", d, r=args.r, field=field,
-                                      vertex_gate=args.gate, workers=args.workers)
-    items = [_check(f"edgewise strand windows d={d} r={args.r}", rep["ok"],
-                    {"agreements": rep["agreements"],
-                     "violations": rep["violations"]})]
-    for obs in rep["observations"]:
-        items.append(_observe(f"unresolved entry d={d}", obs))
+    for d in args.dims:
+        rep = formulas.verify_predictions("edgewise", d, r=args.r, field=field,
+                                          vertex_gate=args.gate,
+                                          workers=args.workers)
+        items.append(_check(f"edgewise strand windows d={d} r={args.r}",
+                            rep["ok"], {"agreements": rep["agreements"],
+                                        "violations": rep["violations"]}))
+        for obs in rep["observations"]:
+            items.append(_observe(f"unresolved entry d={d}", obs))
     return items
 
 
@@ -210,15 +222,16 @@ def _suite_gorenstein(args):
 
 def _suite_link(args):
     items = []
-    d, r = args.dims[0], args.r
-    sub = subdivision.edgewise(complexes.simplex(d - 1), r)
-    for s in range(1, d):
-        face = subdivision.interior_face_witness(d, r, s, sub)
-        link = sub.link(face)
-        expected = subdivision.barycentric(complexes.simplex_boundary(d - s))
-        ok, _ = complexes.is_isomorphic(link, expected)
-        items.append(_check(f"interior face link d={d} r={r} size={s}", ok,
-                            {"face": [list(sub.labels[v]) for v in face]}))
+    r = args.r
+    for d in args.dims:
+        sub = subdivision.edgewise(complexes.simplex(d - 1), r)
+        for s in range(1, d):
+            face = subdivision.interior_face_witness(d, r, s, sub)
+            link = sub.link(face)
+            expected = subdivision.barycentric(complexes.simplex_boundary(d - s))
+            ok, _ = complexes.is_isomorphic(link, expected)
+            items.append(_check(f"interior face link d={d} r={r} size={s}", ok,
+                                {"face": [list(sub.labels[v]) for v in face]}))
     return items
 
 
@@ -368,7 +381,7 @@ def cmd_selftest(args):
                 continue
             try:
                 _read_complex(os.path.join(args.fixtures, name))
-            except (ValueError, KeyError, json.JSONDecodeError) as exc:
+            except ValueError as exc:
                 print(f"corrupt fixture {name}: {exc}", file=sys.stderr)
                 return EXIT_CONFIG
     ns = argparse.Namespace(
@@ -389,10 +402,10 @@ def cmd_selftest(args):
 # -- argument parsing ---------------------------------------------------------------
 
 
-def _add_common(sp, gate=True):
-    sp.add_argument("--gate", type=int, default=_default_gate(),
+def _add_common(sp):
+    sp.add_argument("--gate", type=int, default=None,
                     help="vertex gate for full subset enumeration")
-    sp.add_argument("--workers", type=int, default=_default_workers())
+    sp.add_argument("--workers", type=int, default=None)
     sp.add_argument("-o", "--output", default=None)
 
 
@@ -470,24 +483,25 @@ def build_parser():
 
     p = sub.add_parser("selftest", help="fast end-to-end check")
     p.add_argument("--fixtures", default=None)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(fn=cmd_selftest)
 
     return ap
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        # settings are read here, so a bad value exits 2 like bad input
+        env = {"gate": _default_gate(), "workers": _default_workers()}
+        for key, value in env.items():
+            if getattr(args, key, 0) is None:
+                setattr(args, key, value)
         return args.fn(args)
-    except hochster.VertexGateError as exc:
-        print(f"gate: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except GateError as exc:
         print(f"gate: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -499,13 +499,22 @@ def _encode_label(lab):
     raise TypeError(f"unsupported label {lab!r}")
 
 
+def _int_list(obj, what):
+    if not isinstance(obj, list) or not all(
+            isinstance(x, int) and not isinstance(x, bool) for x in obj):
+        raise ValueError(f"{what} must be a list of integers, got {obj!r}")
+    return obj
+
+
 def _decode_label(obj):
     if obj is None:
         return None
+    if not isinstance(obj, dict):
+        raise ValueError(f"unsupported label encoding {obj!r}")
     if "set" in obj:
-        return frozenset(obj["set"])
+        return frozenset(_int_list(obj["set"], "a set label"))
     if "lattice" in obj:
-        return tuple(obj["lattice"])
+        return tuple(_int_list(obj["lattice"], "a lattice label"))
     if "plain" in obj:
         return str(obj["plain"])
     raise ValueError(f"unsupported label encoding {obj!r}")
@@ -519,10 +528,21 @@ def to_json_dict(c):
 
 
 def from_json_dict(d):
-    labels = None
-    if d.get("labels") is not None:
-        labels = tuple(_decode_label(obj) for obj in d["labels"])
-    return SimplicialComplex(int(d["n"]), d["facets"], labels=labels)
+    """Complex from its JSON object; ValueError if the object is malformed."""
+    if not isinstance(d, dict) or "n" not in d or "facets" not in d:
+        raise ValueError('a complex needs the keys "n" and "facets"')
+    n = d["n"]
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f'"n" must be an integer, got {n!r}')
+    if not isinstance(d["facets"], list):
+        raise ValueError('"facets" must be a list of facets')
+    facets = [_int_list(f, "a facet") for f in d["facets"]]
+    labels = d.get("labels")
+    if labels is not None:
+        if not isinstance(labels, list):
+            raise ValueError('"labels" must be a list')
+        labels = tuple(_decode_label(obj) for obj in labels)
+    return SimplicialComplex(n, facets, labels=labels)
 
 
 def dumps(c):

@@ -135,10 +135,7 @@ def predict_strand_bary(d, j):
     pdim = (1 << d) - d - 1
     if j == d - 1:
         pieces = [(0, pdim, ZERO), (pdim, pdim, NONZERO)]
-        cls = {}
-        for i in range(pdim + 1):
-            cls[i] = NONZERO if i == pdim else ZERO
-        return StrandPrediction(j, cls, "bary-last-strand")
+        return StrandPrediction(j, _classify(pdim, pieces), "bary-last-strand")
     if 2 * j <= d:
         upper_nz = (1 << d) - d - 1 - strand_start_closed(d, d - j - 1)
         zero_from = (1 << d) - 2 * d + j + 1

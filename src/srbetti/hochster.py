@@ -261,9 +261,15 @@ def ring_invariants(table, c):
 
 
 def pdim_after_barycentric(table, c):
-    """Projective dimension of the subdivided ring: pdim + sum of f_i, i>=1."""
+    """Projective dimension of the subdivided ring.
+
+    Depth is invariant under subdivision and the subdivided complex has one
+    vertex per nonempty face, so the result is pdim + sum_{i>=1} f_i +
+    (f_0 - n); f_0 < n exactly when there are ghost vertices (ambient ids
+    in no face).
+    """
     f = c.f_vector()
-    return table.pdim() + sum(f[2:])
+    return table.pdim() + sum(f[1:]) - c.n
 
 
 def gorenstein_symmetry_check(table, d):

@@ -8,6 +8,8 @@ degree -1.
 
 Rank computations are exact everywhere: fraction-free integer elimination
 over Q, bitset elimination over GF(2), and modular elimination over GF(p).
+One row reduction, `_eliminate`, serves the ranks over Q and GF(p) and
+every kernel basis.
 """
 
 from __future__ import annotations
@@ -115,70 +117,90 @@ def gf2_rank(columns):
     return rank
 
 
-def int_rank(rows):
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    nr, nc = len(m), len(m[0])
-    rank = 0
+def _eliminate(m, p, jordan):
+    """Row-reduce the dense matrix m in place; return its pivot columns.
+
+    p == 0: fraction-free (Bareiss) elimination over Z, every division
+    exact; p prime: elimination mod p on entries already reduced mod p.
+    Without `jordan` only the pivot columns are wanted, and a pivot's column
+    below it is left as it was.  With `jordan` every pivot column is cleared
+    above and below its pivot, so row k divided by its pivot entry is row k
+    of the reduced echelon form (over Z all pivots end up equal).
+    """
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    pivots = []
     prev = 1
     r = 0
     for c in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
+        piv = r
+        while piv < nr and not m[piv][c]:
+            piv += 1
+        if piv == nr:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        for i in range(r + 1, nr):
-            fi = m[i][c]
-            row_i = m[i]
-            row_r = m[r]
-            for j in range(c + 1, nc):
-                row_i[j] = (row_i[j] * pv - fi * row_r[j]) // prev
-            row_i[c] = 0
-        prev = pv
-        rank += 1
+        row_r = m[piv]
+        m[piv] = m[r]
+        m[r] = row_r
+        pv = row_r[c]
+        others = [*range(r), *range(r + 1, nr)] if jordan else range(r + 1, nr)
+        if p:
+            # the pivot row is zero left of c, so updates may start at c
+            inv = pow(pv, p - 2, p)
+            for i in others:
+                row_i = m[i]
+                fi = row_i[c]
+                if fi:
+                    mult = fi * inv % p
+                    for j in range(c, nc):
+                        row_i[j] = (row_i[j] - mult * row_r[j]) % p
+        else:
+            # under jordan, earlier pivots and free columns are rescaled by
+            # pv/prev, so the update starts at column 0
+            lo = 0 if jordan else c + 1
+            for i in others:
+                row_i = m[i]
+                fi = row_i[c]
+                for j in range(lo, nc):
+                    row_i[j] = (row_i[j] * pv - fi * row_r[j]) // prev
+            prev = pv
+        pivots.append(c)
         r += 1
         if r == nr:
             break
-    return rank
+    return pivots
+
+
+def int_rank(rows):
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
+    return len(_eliminate([list(r) for r in rows], 0, False))
 
 
 def gfp_rank(rows, p):
-    m = [[x % p for x in r] for r in rows]
-    if not m or not m[0]:
-        return 0
-    nr, nc = len(m), len(m[0])
-    rank = 0
-    r = 0
-    for c in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        row_r = m[r]
-        for i in range(r + 1, nr):
-            fi = m[i][c]
-            if fi:
-                mult = fi * inv % p
-                row_i = m[i]
-                for j in range(c, nc):
-                    row_i[j] = (row_i[j] - mult * row_r[j]) % p
-        rank += 1
-        r += 1
-        if r == nr:
-            break
-    return rank
+    """Rank over GF(p) of an integer matrix."""
+    return len(_eliminate([[x % p for x in r] for r in rows], p, False))
+
+
+def nullspace(rows, nc, p=0):
+    """Kernel basis of a dense nr x nc integer matrix over Q (p == 0) or
+    GF(p): one vector per free column of the reduced echelon form, 1 in
+    that column and 0 in the other free columns.  Entries are Fractions
+    over Q and integers in 0..p-1 over GF(p)."""
+    m = [[x % p for x in r] for r in rows] if p else [list(r) for r in rows]
+    pivots = _eliminate(m, p, True)
+    basis = []
+    for fc in sorted(set(range(nc)) - set(pivots)):
+        if p:
+            v = [0] * nc
+            v[fc] = 1
+            for row, pc in zip(m, pivots):
+                v[pc] = -row[fc] * pow(row[pc], p - 2, p) % p
+        else:
+            v = [Fraction(0)] * nc
+            v[fc] = Fraction(1)
+            for row, pc in zip(m, pivots):
+                v[pc] = Fraction(-row[fc], row[pc])
+        basis.append(v)
+    return basis
 
 
 def _dense_rows(mat):
@@ -236,87 +258,12 @@ def top_homology_nonzero(c, field=QQ):
 # -- kernels -----------------------------------------------------------------
 
 
-def _kernel_q(rows, nc):
-    m = [[Fraction(x) for x in r] for r in rows]
-    pivots = []
-    r = 0
-    for c in range(nc):
-        piv = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                fi = m[i][c]
-                m[i] = [a - fi * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    free = [c for c in range(nc) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * nc
-        v[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            v[pc] = -m[ri][fc]
-        basis.append(v)
-    return basis
-
-
-def _kernel_gfp(rows, nc, p):
-    m = [[x % p for x in r] for r in rows]
-    pivots = []
-    r = 0
-    for c in range(nc):
-        piv = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        m[r] = [x * inv % p for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                fi = m[i][c]
-                m[i] = [(a - fi * b) % p for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    free = [c for c in range(nc) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * nc
-        v[fc] = 1
-        for ri, pc in enumerate(pivots):
-            v[pc] = (-m[ri][fc]) % p
-        basis.append(v)
-    return basis
-
-
 def kernel_basis(mat):
     """Deterministic kernel basis (one vector per free column of the RREF)."""
     if not mat.cols:
         return []
-    nc = len(mat.cols)
-    if not mat.rows:
-        if mat.field.kind == "GF":
-            return [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-        return [[Fraction(i == j) for j in range(nc)] for i in range(nc)]
-    rows = _dense_rows(mat)
-    if mat.field.kind == "GF":
-        return _kernel_gfp(rows, nc, mat.field.p)
-    return _kernel_q(rows, nc)
+    return nullspace(_dense_rows(mat), len(mat.cols),
+                     mat.field.p if mat.field.kind == "GF" else 0)
 
 
 @dataclass

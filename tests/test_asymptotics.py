@@ -14,6 +14,7 @@ from srbetti.complexes import (
 from srbetti.homology import GF2, QQ
 from srbetti.asymptotics import (
     MinimalCycle,
+    _mat_inv,
     asymptotic_window,
     edgewise_vertex_count,
     eigendecompose,
@@ -27,7 +28,26 @@ from srbetti.asymptotics import (
     sd_transfer_matrix,
     verify_last_strand,
 )
-from srbetti.subdivision import barycentric, barycentric_iter, edgewise
+from srbetti.subdivision import (
+    barycentric,
+    barycentric_iter,
+    edgewise,
+    interior_vertices,
+)
+
+
+def _constructed_transfer_matrix(d):
+    """Entry (i, j): j-faces of sd(i-simplex) off its boundary, counted on
+    the constructed subdivision."""
+    mat = [[0] * (d + 1) for _ in range(d + 1)]
+    mat[0][0] = 1
+    for i in range(d):
+        sub = barycentric(simplex(i))
+        bset = sub.boundary_complex().face_set
+        for jdim in range(i + 1):
+            mat[i + 1][jdim + 1] = sum(
+                1 for f in sub.faces_of_dim(jdim) if f not in bset)
+    return tuple(tuple(row) for row in mat)
 
 
 class TestTransferMatrix:
@@ -53,9 +73,12 @@ class TestTransferMatrix:
         with pytest.raises(GateError):
             sd_transfer_matrix(9)
 
+    def test_matches_construction(self):
+        for d in range(1, 7):
+            assert sd_transfer_matrix(d) == _constructed_transfer_matrix(d)
+
     def test_reconstruction_up_to_gate(self):
-        # construction of the 7-simplex subdivision makes this the slowest
-        # test in the suite; it pins exactness of the eigendata at the gate
+        # pins exactness of the eigendata at the largest gated sizes
         for d in (7, 8):
             eig = eigendecompose(sd_transfer_matrix(d))
             assert [int(v) for v in eig.diag] == [
@@ -118,14 +141,43 @@ class TestEigendata:
         p2 = [row[:] for row in eig.p]
         for r in range(size):
             p2[r][0], p2[r][1] = p2[r][1], p2[r][0]
-        from srbetti.asymptotics import _mat_inv
-
         p2_inv = _mat_inv(p2)
         proj1 = [[eig.p[i][size - 1] * eig.p_inv[size - 1][j]
                   for j in range(size)] for i in range(size)]
         proj2 = [[p2[i][size - 1] * p2_inv[size - 1][j]
                   for j in range(size)] for i in range(size)]
         assert proj1 == proj2
+
+
+class TestMatInv:
+    def test_inverse_of_random_rational_matrices(self):
+        import random
+
+        rng = random.Random(11)
+        for n in range(1, 7):
+            for _ in range(5):
+                # lower unitriangular times upper triangular with a nonzero
+                # diagonal, rows shuffled: invertible by construction
+                low = [[Fraction(1) if i == j else
+                        Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if j < i
+                        else Fraction(0) for j in range(n)] for i in range(n)]
+                up = [[Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
+                                rng.randint(1, 4)) if i == j else
+                       Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if j > i
+                       else Fraction(0) for j in range(n)] for i in range(n)]
+                a = [[sum(low[i][t] * up[t][j] for t in range(n))
+                      for j in range(n)] for i in range(n)]
+                rng.shuffle(a)
+                inv = _mat_inv(a)
+                prod = [[sum(inv[i][t] * a[t][j] for t in range(n))
+                         for j in range(n)] for i in range(n)]
+                assert prod == [[int(i == j) for j in range(n)]
+                                for i in range(n)]
+
+    def test_singular_raises(self):
+        a = [[1, 2, 3], [Fraction(1, 2), 5, 7], [Fraction(3, 2), 7, 10]]
+        with pytest.raises(ValueError):
+            _mat_inv(a)
 
 
 class TestLimitPolynomial:
@@ -308,6 +360,11 @@ class TestVerifyLastStrand:
 class TestAsymptoticWindow:
     def test_interior_count_d2(self):
         assert interior_vertex_count_after_3(2) == 7
+
+    def test_interior_count_matches_construction(self):
+        for d in (2, 3, 4):
+            sub = barycentric_iter(simplex(d - 1), 3)
+            assert len(interior_vertices(sub)) == interior_vertex_count_after_3(d)
 
     def test_d2_window_against_table(self):
         from srbetti.hochster import graded_betti_table

@@ -135,6 +135,43 @@ def test_malformed_input(capsys, tmp_path):
     assert code == 2 and err
 
 
+def test_bad_gate_environment(capsys, monkeypatch):
+    monkeypatch.setenv("SRBETTI_GATE", "abc")
+    code, _, err = run(capsys, "limits", "lambda", "--d", "3")
+    assert code == 2
+    assert err.count("\n") == 1 and "SRBETTI_GATE" in err
+
+
+@pytest.mark.parametrize("blob, word", [
+    ({"facets": [[0, 1]]}, '"n"'),                # missing key
+    ({"n": 2, "facets": [["a", "b"]]}, "facet"),  # string vertex ids
+])
+def test_malformed_complex_schema(capsys, tmp_path, blob, word):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(blob))
+    code, _, err = run(capsys, "info", str(bad))
+    assert code == 2
+    assert err.count("\n") == 1 and word in err
+
+
+def test_verify_link_checks_every_d(capsys):
+    code, out, _ = run(capsys, "verify", "link", "--d", "3,4", "--r", "4")
+    assert code == 0
+    names = [it["name"] for it in json.loads(out)["checks"]]
+    assert "interior face link d=4 r=4 size=3" in names
+    # d=4 needs r >= 4, so reading the second value refuses r=3
+    code, _, err = run(capsys, "verify", "link", "--d", "3,4", "--r", "3")
+    assert code == 2 and "r >= d" in err
+
+
+def test_verify_edgewise_checks_every_d(capsys):
+    code, out, _ = run(capsys, "verify", "edgewise", "--d", "3,2", "--r", "3")
+    assert code == 0
+    names = [it["name"] for it in json.loads(out)["checks"]]
+    assert names[0] == "edgewise strand windows d=3 r=3"
+    assert "edgewise strand windows d=2 r=3" in names
+
+
 def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0

@@ -174,6 +174,11 @@ class TestRingInvariants:
         t6 = graded_betti_table(c6, QQ)
         sd = barycentric(c6)
         assert pdim_after_barycentric(t6, c6) == graded_betti_table(sd, QQ).pdim()
+        # vertex 2 lies in no face: it counts in n but not in f_0
+        ghost = from_facets([(0, 1)], 3)
+        t = graded_betti_table(ghost, QQ)
+        assert graded_betti_table(barycentric(ghost), QQ).pdim() == 1
+        assert pdim_after_barycentric(t, ghost) == 1
 
 
 class TestGorenstein:

@@ -19,6 +19,7 @@ from srbetti.homology import (
     gfp_rank,
     int_rank,
     kernel_basis,
+    nullspace,
     rank_exact,
     reduced_betti,
     top_cycle_space,
@@ -83,6 +84,59 @@ class TestBoundaryMatrix:
                 assert all(v == 0 for v in acc.values())
 
 
+def _rank_by_fractions(rows):
+    """Pivot count of a plain Fraction elimination."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    nr, nc = len(m), len(m[0]) if m else 0
+    rank = 0
+    for c in range(nc):
+        piv = next((i for i in range(rank, nr) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(nr):
+            if i != rank and m[i][c]:
+                f = m[i][c] / m[rank][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def _rank_mod_p(rows, p):
+    """Pivot count of a plain elimination mod p with normalized pivots."""
+    m = [[x % p for x in r] for r in rows]
+    nr, nc = len(m), len(m[0]) if m else 0
+    rank = 0
+    for c in range(nc):
+        piv = next((i for i in range(rank, nr) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][c], p - 2, p)
+        m[rank] = [x * inv % p for x in m[rank]]
+        for i in range(rank + 1, nr):
+            f = m[i][c]
+            m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def int_matrices(draw):
+    """Integer matrices up to 8 x 8; some rows combine earlier ones."""
+    nr, nc = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    entry = st.integers(-4, 4)
+    rows = []
+    for _ in range(nr):
+        if rows and draw(st.booleans()):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            ka, kb = draw(entry), draw(entry)
+            rows.append([ka * x + kb * y for x, y in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=nc, max_size=nc)))
+    return rows
+
+
 class TestRank:
     def test_zero_and_identity(self):
         assert int_rank([[0, 0], [0, 0]]) == 0
@@ -97,22 +151,33 @@ class TestRank:
         for _ in range(30):
             nr, nc = rng.randint(1, 6), rng.randint(1, 6)
             rows = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
-            # reference: count pivots of a plain Fraction elimination
-            m = [[Fraction(x) for x in r] for r in rows]
-            rank = 0
-            rr = 0
-            for c in range(nc):
-                piv = next((i for i in range(rr, nr) if m[i][c]), None)
-                if piv is None:
-                    continue
-                m[rr], m[piv] = m[piv], m[rr]
-                for i in range(nr):
-                    if i != rr and m[i][c]:
-                        f = m[i][c] / m[rr][c]
-                        m[i] = [a - f * b for a, b in zip(m[i], m[rr])]
-                rank += 1
-                rr += 1
-            assert int_rank(rows) == rank
+            assert int_rank(rows) == _rank_by_fractions(rows)
+
+    @given(int_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_ranks_match_plain_elimination(self, rows):
+        assert int_rank(rows) == _rank_by_fractions(rows)
+        for p in (2, 3, 5, 7):
+            assert gfp_rank(rows, p) == _rank_mod_p(rows, p)
+
+    @given(int_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_nullspace(self, rows):
+        nc = len(rows[0])
+        for p in (0, 3, 5):
+            def rank(m):
+                return _rank_mod_p(m, p) if p else _rank_by_fractions(m)
+
+            # column c is free iff it depends on the columns before it
+            free = [c for c in range(nc)
+                    if rank([r[:c + 1] for r in rows]) == rank([r[:c] for r in rows])]
+            basis = nullspace(rows, nc, p)
+            assert len(basis) == nc - rank(rows) == len(free)
+            for k, v in enumerate(basis):
+                assert [v[c] for c in free] == [int(i == k) for i in range(len(free))]
+                for r in rows:
+                    dot = sum(a * x for a, x in zip(r, v))
+                    assert (dot % p if p else dot) == 0
 
 
 class TestReducedBetti:
