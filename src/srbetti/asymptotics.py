@@ -23,7 +23,7 @@ from .complexes import (
 )
 from .homology import GF2, _eliminate, boundary_matrix, kernel_basis, nullspace
 from .hochster import graded_betti_table
-from .subdivision import barycentric, barycentric_iter, edgewise
+from .subdivision import barycentric_levels, edgewise
 
 LAMBDA_GATE = 8
 CYCLE_ENUM_GATE = 1 << 20
@@ -319,17 +319,13 @@ def verify_last_strand(c, r, field, mode="bary", vertex_gate=22, workers=1,
     d = c.dim + 1
     mc = minimal_top_cycle(c, cycle_field)
     if mode == "bary":
-        sub = barycentric_iter(c, r)
-        sigma_sub = barycentric_iter(mc.induced, r)
+        sub, sigma_vertices = _subdivide_with_support(c, r, mc)
+        v_sigma = len(sigma_vertices)
     elif mode == "edge":
         sub = edgewise(c, r)
-        sigma_sub = None
+        v_sigma = edgewise_vertex_count(mc.induced, r)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "bary":
-        v_sigma = sigma_sub.f_vector()[1]
-    else:
-        v_sigma = edgewise_vertex_count(mc.induced, r)
     report = {
         "mode": mode,
         "r": r,
@@ -366,9 +362,7 @@ def verify_last_strand(c, r, field, mode="bary", vertex_gate=22, workers=1,
     lo = v_sigma - d
     report["method"] = "witnesses"
     report["window"] = (lo, pdim)
-    if mode == "bary":
-        sigma_vertices = _subdivided_support_vertices_bary(c, r, mc, sub)
-    else:
+    if mode == "edge":
         sigma_vertices = _subdivided_support_vertices_edge(mc, sub)
     rest = [v for v in range(sub.n) if v not in set(sigma_vertices)]
     ok = True
@@ -386,20 +380,24 @@ def verify_last_strand(c, r, field, mode="bary", vertex_gate=22, workers=1,
     return report
 
 
-def _subdivided_support_vertices_bary(c, r, mc, sub):
+def _subdivide_with_support(c, r, mc):
+    """The r-fold barycentric subdivision of c, and the sorted ids of its
+    vertices that subdivide the support of the minimal cycle mc.
+
+    A vertex of sd(K) is a face of K, and it lies in the subdivided
+    support when that face does; from the second level on the subdivided
+    support is a full subcomplex, so containment of the label suffices.
+    """
     support = set(mc.induced.face_set) - {()}
-    cur = c
-    keep = None
-    for _ in range(r):
-        nxt = barycentric(cur)
-        if keep is None:
-            keep = {i for i, lab in enumerate(nxt.labels)
+    keep = {f[0] for f in support if len(f) == 1}
+    sub = c
+    for level, sub in enumerate(barycentric_levels(c, r)):
+        if level == 0:
+            keep = {i for i, lab in enumerate(sub.labels)
                     if tuple(sorted(lab)) in support}
         else:
-            keep = {i for i, lab in enumerate(nxt.labels) if set(lab) <= keep}
-        cur = nxt
-    assert cur.n == sub.n
-    return sorted(keep)
+            keep = {i for i, lab in enumerate(sub.labels) if lab <= keep}
+    return sub, sorted(keep)
 
 
 def _subdivided_support_vertices_edge(mc, sub):

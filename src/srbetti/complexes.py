@@ -105,6 +105,8 @@ class SimplicialComplex:
         if self._faces_by_dim is not None:
             return
         top = self.dim + 1  # facet size
+        if (1 << top) - 1 > FACE_GATE:  # the largest facet's faces alone
+            raise GateError(f"face enumeration exceeds gate {FACE_GATE}")
         levels = [set() for _ in range(top + 1)]  # index = #vertices
         for f in self.facets:
             levels[len(f)].add(f)
@@ -112,12 +114,13 @@ class SimplicialComplex:
         for size in range(top, 1, -1):
             nxt = levels[size - 1]
             before = len(nxt)
+            room = FACE_GATE - total + before  # faces this level may hold
             for f in levels[size]:
                 for i in range(size):
                     nxt.add(f[:i] + f[i + 1:])
+                if len(nxt) > room:
+                    raise GateError(f"face enumeration exceeds gate {FACE_GATE}")
             total += len(nxt) - before
-            if total > FACE_GATE:
-                raise GateError(f"face enumeration exceeds gate {FACE_GATE}")
         levels[0] = {()}
         self._faces_by_dim = tuple(tuple(sorted(lv)) for lv in levels)
         self._face_set = frozenset().union(*levels)
@@ -232,25 +235,35 @@ class SimplicialComplex:
     # -- non-faces ---------------------------------------------------------
 
     def minimal_non_faces(self):
-        """Inclusion-minimal vertex sets that are not faces."""
+        """Inclusion-minimal vertex sets that are not faces.
+
+        Each one of size k >= 3 is a face f plus a vertex v > max f joined
+        to every vertex of f, so v is drawn from the AND of f's neighbour
+        bitmasks; size 2 is a non-edge between two vertices.
+        """
         if self._mnf is not None:
             return self._mnf
         faces = self.face_set
         out = [(v,) for v in range(self.n) if (v,) not in faces]
         present = [v for v in range(self.n) if (v,) in faces]
-        for k in range(2, self.dim + 3):
-            cand = set()
+        nbr = _adjacency(self)
+        out.extend((u, v) for u in present for v in present
+                   if v > u and not nbr[u] >> v & 1)
+        for k in range(3, self.dim + 3):
             for f in self.faces_of_dim(k - 2):
-                fs = set(f)
-                for v in present:
-                    if v in fs:
-                        continue
-                    t = tuple(sorted(f + (v,)))
-                    if t in cand or t in faces:
-                        continue
-                    if all(t[:i] + t[i + 1:] in faces for i in range(k)):
-                        cand.add(t)
-            out.extend(sorted(cand))
+                common = -1
+                for u in f:
+                    common &= nbr[u]
+                common >>= f[-1] + 1
+                v = f[-1]
+                while common:
+                    step = (common & -common).bit_length()
+                    common >>= step
+                    v += step
+                    t = f + (v,)
+                    if t not in faces and all(
+                            t[:i] + t[i + 1:] in faces for i in range(k - 1)):
+                        out.append(t)
         self._mnf = tuple(sorted(out, key=lambda t: (len(t), t)))
         return self._mnf
 

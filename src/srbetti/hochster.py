@@ -6,18 +6,25 @@ is assembled by enumerating every subset of the ambient vertex set, so the
 vertex count is gated; above the gate only witness certificates are
 available.
 
-The subset loop recomputes each induced homology from scratch.  Subsets
-are independent and the per-subset Betti contributions are added into the
-table, so the result does not depend on how the subset range is split
-across workers.
+The subset loop visits W in increasing order and keeps a small id of the
+reduced homology of each induced subcomplex Delta_W.  If a vertex v of W
+is a ghost (in no face) or is dominated (its link in Delta_W is a cone),
+Delta_W strong-collapses onto Delta_{W-v} (Barmak and Minian, Strong
+homotopy types, nerves and collapses, 2012), so W copies the id of the
+smaller subset; only collapse-free subsets are ranked.  The homology of
+each W depends on W alone, and the table adds up (#W, homology) counts, so
+the result does not depend on how the subset range is split across
+workers: a worker only copies ids from its own range and ranks W when no
+collapse stays inside it.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+from array import array
 from dataclasses import dataclass, field as dataclass_field
 
-from .complexes import GateError
+from .complexes import GateError, _adjacency
 from .homology import FieldSpec, QQ, gf2_rank, gfp_rank, int_rank, reduced_betti
 
 DEFAULT_VERTEX_GATE = 22
@@ -91,8 +98,15 @@ class BettiTable:
 
 
 def _payload(c, field):
-    """Flat, picklable description of the complex for the subset loop."""
-    dims = c.dim + 1
+    """Flat, picklable description of the complex for the subset loop.
+
+    Besides the face masks and boundaries of each dimension it carries the
+    domination test, read off the minimal non-faces once: neighbour
+    bitmasks; per vertex u, the other ends of the 2-element non-faces
+    through u; per u, the masks M - u of the larger non-faces M through u;
+    the set of face masks; and the mask of ghost vertices (in no face).
+    """
+    n, dims = c.n, c.dim + 1
     masks = []
     bnds = []
     for k in range(dims):
@@ -111,7 +125,47 @@ def _payload(c, field):
                 bnds_k.append(())
         masks.append(tuple(masks_k))
         bnds.append(tuple(bnds_k))
-    return (c.n, tuple(masks), tuple(bnds), field)
+    ghost = 0
+    non_nbr = [0] * n
+    rests = [[] for _ in range(n)]
+    for mnf in c.minimal_non_faces():
+        m = 0
+        for v in mnf:
+            m |= 1 << v
+        if len(mnf) == 1:
+            ghost |= m
+        elif len(mnf) == 2:
+            u, v = mnf
+            non_nbr[u] |= 1 << v
+            non_nbr[v] |= 1 << u
+        else:
+            for u in mnf:
+                rests[u].append(m ^ 1 << u)
+    face_masks = frozenset(m for level in masks for m in level)
+    return (n, tuple(masks), tuple(bnds), field, tuple(_adjacency(c)), ghost,
+            tuple(non_nbr), tuple(map(tuple, rests)), face_masks)
+
+
+def _dominated(b, nw, non_nbr, rests, face_masks):
+    """True if some u dominates the vertex v = bit b in Delta_W.
+
+    nw is v's neighbourhood within W.  u dominates v when uv is a face and
+    no minimal non-face M through u has M - u inside W with (M - u) + v a
+    face; such an M - u lies in the closed neighbourhood nw + v.
+    """
+    closed = nw | b
+    while nw:
+        ub = nw & -nw
+        nw ^= ub
+        u = ub.bit_length() - 1
+        if non_nbr[u] & closed:
+            continue
+        for r in rests[u]:
+            if r & closed == r and r | b in face_masks:
+                break
+        else:
+            return True
+    return False
 
 
 def _rank_gf2_local(col_faces, bnd_k, local_prev):
@@ -135,42 +189,74 @@ def _rank_dense_local(col_faces, bnd_k, local_prev, field):
     return int_rank(rows)
 
 
-def _accumulate(payload, lo, hi):
-    n, masks, bnds, field = payload
-    dims = len(masks)
+def _induced_betti(w, masks, bnds, field):
+    """Reduced Betti numbers (b_-1, b_0, ...) of Delta_W, trailing zeros
+    dropped, from the faces inside W and the ranks of their boundaries."""
+    sel = []
+    for masks_k in masks:
+        sel_k = [i for i, m in enumerate(masks_k) if m & w == m]
+        if not sel_k:
+            break
+        sel.append(sel_k)
+    # rank of the augmented boundary in each degree; degree 0 maps every
+    # vertex to the empty face, so its rank is 1 iff W spans a vertex
+    ranks = [0] * (len(sel) + 1)
+    if sel:
+        ranks[0] = 1
     gf2 = field.kind == "GF" and field.p == 2
-    out = {}
-    sel = [None] * dims
+    for k in range(1, len(sel)):
+        local_prev = {gi: li for li, gi in enumerate(sel[k - 1])}
+        if gf2:
+            ranks[k] = _rank_gf2_local(sel[k], bnds[k], local_prev)
+        else:
+            ranks[k] = _rank_dense_local(sel[k], bnds[k], local_prev, field)
+    betti = [1 - ranks[0]]
+    betti += [len(sel_k) - ranks[k] - ranks[k + 1] for k, sel_k in enumerate(sel)]
+    while betti and not betti[-1]:
+        betti.pop()
+    return tuple(betti)
+
+
+def _accumulate(payload, lo, hi):
+    """Table entries contributed by the subsets W in [lo, hi).
+
+    W runs in increasing order and memo[W - lo] keeps the id of the
+    reduced homology of Delta_W.  If some v in W is a ghost or dominated,
+    Delta_W strong-collapses onto Delta_{W-v}, which has the same homology
+    and an id already in the memo when W - v >= lo; otherwise W is ranked.
+    """
+    n, masks, bnds, field, nbr, ghost, non_nbr, rests, face_masks = payload
+    memo = array("I", bytes(4 * (hi - lo)))
+    ids = {}     # reduced Betti numbers -> id
+    tally = []   # tally[id][#W]: subsets of each size with that homology
     for w in range(lo, hi):
-        size = bin(w).count("1")
-        top = -1
-        for k in range(dims):
-            sel_k = [i for i, m in enumerate(masks[k]) if m & w == m]
-            sel[k] = sel_k
-            if sel_k:
-                top = k
-            elif k:
+        hid = -1
+        rest = w
+        while rest:
+            b = rest & -rest
+            if w ^ b < lo:
+                break  # removing a higher vertex leaves a smaller W - v
+            rest ^= b
+            if b & ghost or _dominated(b, nbr[b.bit_length() - 1] & w,
+                                       non_nbr, rests, face_masks):
+                hid = memo[(w ^ b) - lo]
                 break
-        # rank of the augmented boundary in each degree; degree 0 maps every
-        # vertex to the empty face, so its rank is 1 iff W is nonempty
-        ranks = [0] * (top + 2)
-        if top >= 0:
-            ranks[0] = 1
-        for k in range(1, top + 1):
-            local_prev = {gi: li for li, gi in enumerate(sel[k - 1])}
-            if gf2:
-                ranks[k] = _rank_gf2_local(sel[k], bnds[k], local_prev)
-            else:
-                ranks[k] = _rank_dense_local(sel[k], bnds[k], local_prev, field)
-        b = 1 - (ranks[0] if top >= 0 else 0)
-        if b:
-            key = (size, 0)
-            out[key] = out.get(key, 0) + b
-        for k in range(0, top + 1):
-            b = len(sel[k]) - ranks[k] - (ranks[k + 1] if k + 1 <= top else 0)
-            if b:
-                key = (size - k - 1, k + 1)
-                out[key] = out.get(key, 0) + b
+        if hid < 0:
+            betti = _induced_betti(w, masks, bnds, field)
+            hid = ids.get(betti)
+            if hid is None:
+                hid = ids[betti] = len(tally)
+                tally.append([0] * (n + 1))
+        memo[w - lo] = hid
+        tally[hid][w.bit_count()] += 1
+    out = {}
+    for betti, hid in ids.items():
+        for size, count in enumerate(tally[hid]):
+            if count:
+                # H~_{j-1}(Delta_W) adds to beta_{#W-j, #W}
+                for j, b in enumerate(betti):
+                    if b:
+                        out[(size - j, j)] = out.get((size - j, j), 0) + count * b
     return out
 
 

@@ -51,14 +51,21 @@ def barycentric(c):
     return SimplicialComplex(len(verts), facets, labels=labels, assume_reduced=True)
 
 
-def barycentric_iter(c, r):
-    """r-fold barycentric subdivision; r = 0 returns c unchanged."""
+def barycentric_levels(c, r):
+    """Yield sd(c), sd^2(c), ..., sd^r(c), building each level once."""
     if r < 0:
         raise ValueError("subdivision depth must be nonnegative")
     for _ in range(r):
         if sum_factorial_facets(c) > FACE_GATE:
             raise GateError("iterated subdivision exceeds the face gate")
         c = barycentric(c)
+        yield c
+
+
+def barycentric_iter(c, r):
+    """r-fold barycentric subdivision; r = 0 returns c unchanged."""
+    for c in barycentric_levels(c, r):
+        pass
     return c
 
 

@@ -11,6 +11,7 @@ from srbetti.complexes import (
     stacked_attach,
     stacked_sphere,
 )
+from srbetti import subdivision
 from srbetti.homology import GF2, QQ
 from srbetti.asymptotics import (
     MinimalCycle,
@@ -355,6 +356,15 @@ class TestVerifyLastStrand:
         rep = verify_last_strand(pendants, 2, GF2, mode="bary", vertex_gate=12)
         assert rep["method"] == "witnesses"
         assert rep["window_nonzero"]
+
+    def test_witness_mode_subdivides_once(self, pendants, monkeypatch):
+        calls = []
+        build = subdivision.barycentric
+        monkeypatch.setattr(subdivision, "barycentric",
+                            lambda c: calls.append(1) or build(c))
+        rep = verify_last_strand(pendants, 2, GF2, mode="bary", vertex_gate=12)
+        assert rep["method"] == "witnesses"
+        assert len(calls) == 2  # one per level of the r = 2 tower
 
 
 class TestAsymptoticWindow:

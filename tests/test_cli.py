@@ -3,7 +3,8 @@ import json
 import pytest
 
 from srbetti import cli
-from srbetti.complexes import cycle, dumps, loads
+from srbetti.complexes import cycle, dumps, loads, simplex
+from srbetti.subdivision import edgewise
 
 
 @pytest.fixture
@@ -49,9 +50,12 @@ def test_betti_json_and_field(capsys, c6_file):
     assert {"i": 1, "j": 1, "value": 9} in blob["entries"]
 
 
-def test_betti_worker_output_identical(capsys, c6_file):
-    _, out1, _ = run(capsys, "betti", c6_file, "--workers", "1")
-    _, out2, _ = run(capsys, "betti", c6_file, "--workers", "3")
+def test_betti_worker_output_identical(capsys, tmp_path):
+    # 2^10 subsets, enough to start the worker pool
+    p = tmp_path / "ew.json"
+    p.write_text(dumps(edgewise(simplex(2), 3)))
+    _, out1, _ = run(capsys, "betti", str(p), "--workers", "1")
+    _, out2, _ = run(capsys, "betti", str(p), "--workers", "3")
     assert out1 == out2
 
 
@@ -162,6 +166,13 @@ def test_verify_link_checks_every_d(capsys):
     # d=4 needs r >= 4, so reading the second value refuses r=3
     code, _, err = run(capsys, "verify", "link", "--d", "3,4", "--r", "3")
     assert code == 2 and "r >= d" in err
+
+
+def test_verify_link_refuses_huge_simplex(capsys):
+    # d=40 asks for the faces of a 39-simplex: refused before any is built
+    code, _, err = run(capsys, "verify", "link", "--d", "3,40", "--r", "3")
+    assert code == 2
+    assert err.count("\n") == 1 and "gate" in err
 
 
 def test_verify_edgewise_checks_every_d(capsys):

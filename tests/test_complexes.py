@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from srbetti.complexes import (
     stacked_sphere,
     standard_complex,
 )
+from srbetti.subdivision import barycentric
 
 
 def random_complexes():
@@ -28,6 +30,28 @@ def random_complexes():
             st.sets(st.integers(0, n - 1), min_size=1, max_size=n),
             min_size=1, max_size=6,
         ).map(lambda fs: from_facets([sorted(f) for f in fs], n)))
+
+
+def minimal_non_faces_bruteforce(c):
+    """Every face plus every vertex outside it, kept when all facets of
+    the union are faces."""
+    faces = c.face_set
+    out = [(v,) for v in range(c.n) if (v,) not in faces]
+    present = [v for v in range(c.n) if (v,) in faces]
+    for k in range(2, c.dim + 3):
+        cand = set()
+        for f in c.faces_of_dim(k - 2):
+            fs = set(f)
+            for v in present:
+                if v in fs:
+                    continue
+                t = tuple(sorted(f + (v,)))
+                if t in cand or t in faces:
+                    continue
+                if all(t[:i] + t[i + 1:] in faces for i in range(k)):
+                    cand.add(t)
+        out.extend(sorted(cand))
+    return tuple(sorted(out, key=lambda t: (len(t), t)))
 
 
 class TestFromFacets:
@@ -70,6 +94,30 @@ def test_euler_characteristic_of_spheres():
         chi = sum((-1) ** k * f[k + 1] for k in range(d))
         assert chi == 1 + (-1) ** (d - 1)
         assert sum((-1) ** k * simplex(d).f_vector()[k + 1] for k in range(d + 1)) == 1
+
+
+class TestFaceGate:
+    def test_largest_facet_alone(self, monkeypatch):
+        monkeypatch.setattr(complexes, "FACE_GATE", 15)
+        assert len(simplex(3).face_set) == 16  # 15 nonempty faces
+        monkeypatch.setattr(complexes, "FACE_GATE", 14)
+        with pytest.raises(GateError):
+            simplex(3).face_set
+
+    def test_running_total(self, monkeypatch):
+        # f = (1, 7, 12, 6): 25 nonempty faces, from triangles of 7 each
+        a, b = barycentric(simplex(2)), barycentric(simplex(2))
+        monkeypatch.setattr(complexes, "FACE_GATE", 25)
+        assert len(a.face_set) == 26
+        monkeypatch.setattr(complexes, "FACE_GATE", 24)
+        with pytest.raises(GateError):
+            b.face_set
+
+    def test_huge_simplex_refused_at_once(self):
+        t0 = time.perf_counter()
+        with pytest.raises(GateError):
+            simplex(40).face_set
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestInduced:
@@ -140,6 +188,14 @@ class TestMinimalNonFaces:
     def test_full_simplex(self):
         assert simplex(2).minimal_non_faces() == ()
         assert simplex(2).t1() == 0
+
+    @given(random_complexes())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_bruteforce(self, c):
+        assert c.minimal_non_faces() == minimal_non_faces_bruteforce(c)
+
+    def test_subdivided_simplex_matches_bruteforce(self, sd_simplex3):
+        assert sd_simplex3.minimal_non_faces() == minimal_non_faces_bruteforce(sd_simplex3)
 
     @given(random_complexes())
     @settings(max_examples=40, deadline=None)

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from oracle_koszul import koszul_betti_gf2
+from srbetti import hochster
 from srbetti.complexes import (
     cycle,
     from_facets,
@@ -9,7 +11,7 @@ from srbetti.complexes import (
     simplex_boundary,
     stacked_attach,
 )
-from srbetti.homology import GF2, QQ, FieldSpec
+from srbetti.homology import GF2, QQ, FieldSpec, reduced_betti
 from srbetti.hochster import (
     VertexGateError,
     betti_witness,
@@ -20,7 +22,32 @@ from srbetti.hochster import (
     strand_profile,
     witness_table,
 )
-from srbetti.subdivision import barycentric
+from srbetti.subdivision import barycentric, edgewise
+
+GF3 = FieldSpec.prime(3)
+
+
+def naive_table(c, field):
+    """Hochster's formula summed over every vertex subset W, each induced
+    subcomplex built and ranked on its own."""
+    entries = {}
+    for w in range(1 << c.n):
+        verts = [v for v in range(c.n) if w >> v & 1]
+        for deg, b in reduced_betti(c.induced(verts), field).items():
+            if b:
+                key = (len(verts) - deg - 1, deg + 1)
+                entries[key] = entries.get(key, 0) + b
+    return entries
+
+
+def random_complexes():
+    """Complexes on up to 9 ambient vertices; facets of up to four vertices
+    give non-flag complexes, and ids in no facet are ghost vertices."""
+    return st.integers(1, 9).flatmap(
+        lambda n: st.lists(
+            st.sets(st.integers(0, n - 1), min_size=1, max_size=4),
+            min_size=1, max_size=7,
+        ).map(lambda fs: from_facets([sorted(f) for f in fs], n)))
 
 
 class TestTable:
@@ -49,9 +76,10 @@ class TestTable:
         with pytest.raises(VertexGateError):
             graded_betti_table(c6, QQ, vertex_gate=5)
 
-    def test_worker_partition_invariance(self, c6):
-        t1 = graded_betti_table(c6, GF2, workers=1)
-        t3 = graded_betti_table(c6, GF2, workers=3)
+    def test_worker_partition_invariance(self):
+        c = edgewise(simplex(2), 3)  # 2^10 subsets: the pool path
+        t1 = graded_betti_table(c, GF2, workers=1)
+        t3 = graded_betti_table(c, GF2, workers=3)
         assert t1.entries == t3.entries
 
     def test_fields_agree_on_torsion_free_fixtures(self, c6):
@@ -60,6 +88,33 @@ class TestTable:
             b = graded_betti_table(c, GF2).entries
             g = graded_betti_table(c, FieldSpec.prime(5)).entries
             assert a == b == g
+
+
+class TestAgainstNaiveOracle:
+    """The collapse loop against the per-subset sum, at every worker count."""
+
+    @given(random_complexes(), st.sampled_from([QQ, GF2, GF3]))
+    @example(from_facets([(0, 1), (1, 2), (0, 2), (2, 3, 4), (4, 5, 6, 7)], 9), QQ)
+    @settings(max_examples=60, deadline=None)
+    def test_random_complexes(self, c, field):
+        expected = naive_table(c, field)
+        for workers in (1, 2, 3):
+            assert graded_betti_table(c, field, workers=workers).entries == expected
+        if field == GF2:
+            assert koszul_betti_gf2(c) == expected
+
+    @pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
+    def test_rp2(self, rp2, field):
+        expected = naive_table(rp2, field)
+        for workers in (1, 2, 3):
+            assert graded_betti_table(rp2, field, workers=workers).entries == expected
+
+    def test_collapses_leave_few_subsets_to_rank(self, sd_simplex3, monkeypatch):
+        calls = []
+        rank = hochster.gf2_rank
+        monkeypatch.setattr(hochster, "gf2_rank", lambda cols: calls.append(1) or rank(cols))
+        graded_betti_table(sd_simplex3, GF2)
+        assert 0 < len(calls) < (1 << sd_simplex3.n) // 100
 
 
 class TestAgainstKoszulOracle:
