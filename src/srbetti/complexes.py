@@ -152,9 +152,6 @@ class SimplicialComplex:
             out.update(f)
         return tuple(sorted(out))
 
-    def label_of(self, v):
-        return None if self.labels is None else self.labels[v]
-
     def vertex_by_label(self, label):
         if self.labels is None:
             raise ValueError("complex has no labels")

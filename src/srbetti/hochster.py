@@ -25,7 +25,7 @@ from array import array
 from dataclasses import dataclass, field as dataclass_field
 
 from .complexes import GateError, _adjacency
-from .homology import FieldSpec, QQ, gf2_rank, gfp_rank, int_rank, reduced_betti
+from .homology import FieldSpec, QQ, boundary_matrix, boundary_rank, reduced_betti
 
 DEFAULT_VERTEX_GATE = 22
 
@@ -82,10 +82,6 @@ class BettiTable:
         self._require_complete()
         return {i: v for (i, jj), v in self.entries.items() if jj == j and v}
 
-    def max_i(self, j):
-        vals = [i for (i, jj), v in self.entries.items() if jj == j and v]
-        return max(vals) if vals else None
-
     def _require_complete(self):
         if not self.complete:
             raise ValueError("operation requires a complete Betti table")
@@ -100,31 +96,18 @@ class BettiTable:
 def _payload(c, field):
     """Flat, picklable description of the complex for the subset loop.
 
-    Besides the face masks and boundaries of each dimension it carries the
+    Per dimension k it carries the vertex masks of the k-faces and their
+    boundary columns, `boundary_matrix(c, k).columns`: the indices of each
+    face's facets among the (k-1)-faces.  Besides these it carries the
     domination test, read off the minimal non-faces once: neighbour
     bitmasks; per vertex u, the other ends of the 2-element non-faces
     through u; per u, the masks M - u of the larger non-faces M through u;
     the set of face masks; and the mask of ghost vertices (in no face).
     """
     n, dims = c.n, c.dim + 1
-    masks = []
-    bnds = []
-    for k in range(dims):
-        faces = c.faces_of_dim(k)
-        index_prev = {f: i for i, f in enumerate(c.faces_of_dim(k - 1))} if k else {}
-        masks_k = []
-        bnds_k = []
-        for f in faces:
-            m = 0
-            for v in f:
-                m |= 1 << v
-            masks_k.append(m)
-            if k:
-                bnds_k.append(tuple(index_prev[f[:i] + f[i + 1:]] for i in range(k + 1)))
-            else:
-                bnds_k.append(())
-        masks.append(tuple(masks_k))
-        bnds.append(tuple(bnds_k))
+    masks = tuple(tuple(sum(1 << v for v in f) for f in c.faces_of_dim(k))
+                  for k in range(dims))
+    bnds = tuple(boundary_matrix(c, k, field).columns for k in range(dims))
     ghost = 0
     non_nbr = [0] * n
     rests = [[] for _ in range(n)]
@@ -142,7 +125,7 @@ def _payload(c, field):
             for u in mnf:
                 rests[u].append(m ^ 1 << u)
     face_masks = frozenset(m for level in masks for m in level)
-    return (n, tuple(masks), tuple(bnds), field, tuple(_adjacency(c)), ghost,
+    return (n, masks, bnds, field, tuple(_adjacency(c)), ghost,
             tuple(non_nbr), tuple(map(tuple, rests)), face_masks)
 
 
@@ -168,27 +151,6 @@ def _dominated(b, nw, non_nbr, rests, face_masks):
     return False
 
 
-def _rank_gf2_local(col_faces, bnd_k, local_prev):
-    cols = []
-    for gi in col_faces:
-        v = 0
-        for b in bnd_k[gi]:
-            v |= 1 << local_prev[b]
-        cols.append(v)
-    return gf2_rank(cols)
-
-
-def _rank_dense_local(col_faces, bnd_k, local_prev, field):
-    nr = len(local_prev)
-    rows = [[0] * len(col_faces) for _ in range(nr)]
-    for ci, gi in enumerate(col_faces):
-        for pos, b in enumerate(bnd_k[gi]):
-            rows[local_prev[b]][ci] = -1 if pos % 2 else 1
-    if field.kind == "GF":
-        return gfp_rank(rows, field.p)
-    return int_rank(rows)
-
-
 def _induced_betti(w, masks, bnds, field):
     """Reduced Betti numbers (b_-1, b_0, ...) of Delta_W, trailing zeros
     dropped, from the faces inside W and the ranks of their boundaries."""
@@ -203,13 +165,11 @@ def _induced_betti(w, masks, bnds, field):
     ranks = [0] * (len(sel) + 1)
     if sel:
         ranks[0] = 1
-    gf2 = field.kind == "GF" and field.p == 2
     for k in range(1, len(sel)):
-        local_prev = {gi: li for li, gi in enumerate(sel[k - 1])}
-        if gf2:
-            ranks[k] = _rank_gf2_local(sel[k], bnds[k], local_prev)
-        else:
-            ranks[k] = _rank_dense_local(sel[k], bnds[k], local_prev, field)
+        bnd_k = bnds[k]
+        ranks[k] = boundary_rank([bnd_k[gi] for gi in sel[k]],
+                                 {gi: li for li, gi in enumerate(sel[k - 1])},
+                                 field)
     betti = [1 - ranks[0]]
     betti += [len(sel_k) - ranks[k] - ranks[k + 1] for k, sel_k in enumerate(sel)]
     while betti and not betti[-1]:

@@ -2,14 +2,19 @@
 
 Boundary matrices use the orientation induced by sorted vertex order: the
 face obtained by deleting the vertex in position i carries sign (-1)^i.
+A boundary column is stored as the tuple of its facets' row indices in the
+order of the deleted vertex, so the sign is implied by the position and is
+written out only where a dense matrix is built (`_dense`).
 Chain degree -1 is the span of the empty face, so homology is reduced and
 the complex that contains only the empty face has one unit of homology in
 degree -1.
 
 Rank computations are exact everywhere: fraction-free integer elimination
 over Q, bitset elimination over GF(2), and modular elimination over GF(p).
-One row reduction, `_eliminate`, serves the ranks over Q and GF(p) and
-every kernel basis.
+`boundary_rank` is the one place that picks the kernel for a field, for
+whole boundary matrices and for the induced subcomplexes of the Hochster
+loop alike.  One row reduction, `_eliminate`, serves the ranks over Q and
+GF(p) and every kernel basis.
 """
 
 from __future__ import annotations
@@ -67,8 +72,10 @@ GF2 = FieldSpec.prime(2)
 class BoundaryMatrix:
     """Signed incidence matrix of the boundary map on k-faces.
 
-    columns[c] lists (row_index, sign) pairs; rows are the (k-1)-faces,
-    with the single empty face as augmentation row when k = 0.
+    columns[c] is the tuple of row indices of the facets of face cols[c],
+    in the order of the deleted vertex; the i-th entry carries sign (-1)^i.
+    Rows are the (k-1)-faces, with the single empty face as augmentation
+    row when k = 0.
     """
 
     k: int
@@ -88,14 +95,9 @@ def boundary_matrix(c, k, field=QQ):
     cols = c.faces_of_dim(k)
     rows = c.faces_of_dim(k - 1)
     row_index = {f: i for i, f in enumerate(rows)}
-    columns = []
-    for f in cols:
-        col = []
-        for i in range(len(f)):
-            sub = f[:i] + f[i + 1:]
-            col.append((row_index[sub], -1 if i % 2 else 1))
-        columns.append(tuple(col))
-    return BoundaryMatrix(k, rows, cols, tuple(columns), field)
+    columns = tuple(tuple(row_index[f[:i] + f[i + 1:]] for i in range(len(f)))
+                    for f in cols)
+    return BoundaryMatrix(k, rows, cols, columns, field)
 
 
 # -- exact rank --------------------------------------------------------------
@@ -203,31 +205,40 @@ def nullspace(rows, nc, p=0):
     return basis
 
 
-def _dense_rows(mat):
-    nr = len(mat.rows)
-    rows = [[0] * len(mat.cols) for _ in range(nr)]
-    for ci, col in enumerate(mat.columns):
-        for ri, sign in col:
-            rows[ri][ci] = sign
-    return rows
+def _dense(columns, rows):
+    """Dense len(rows) x len(columns) integer matrix of boundary columns;
+    rows maps each row id the columns use to its local index."""
+    m = [[0] * len(columns) for _ in range(len(rows))]
+    for ci, col in enumerate(columns):
+        sign = 1
+        for b in col:
+            m[rows[b]][ci] = sign
+            sign = -sign
+    return m
+
+
+def boundary_rank(columns, rows, field):
+    """Exact rank over `field` of the boundary columns, each a tuple of row
+    ids; rows maps every row id used to a local index in 0..len(rows)-1."""
+    if not columns or not rows:
+        return 0
+    if field.p == 2:
+        bits = []
+        for col in columns:
+            v = 0
+            for b in col:
+                v |= 1 << rows[b]
+            bits.append(v)
+        return gf2_rank(bits)
+    m = _dense(columns, rows)
+    if field.kind == "GF":
+        return gfp_rank(m, field.p)
+    return int_rank(m)
 
 
 def rank_exact(mat):
     """Exact rank of a BoundaryMatrix over its field."""
-    if not mat.rows or not mat.cols:
-        return 0
-    if mat.field.kind == "GF" and mat.field.p == 2:
-        columns = []
-        for col in mat.columns:
-            v = 0
-            for ri, _ in col:
-                v |= 1 << ri
-            columns.append(v)
-        return gf2_rank(columns)
-    rows = _dense_rows(mat)
-    if mat.field.kind == "GF":
-        return gfp_rank(rows, mat.field.p)
-    return int_rank(rows)
+    return boundary_rank(mat.columns, range(len(mat.rows)), mat.field)
 
 
 # -- reduced Betti numbers ----------------------------------------------------
@@ -262,7 +273,7 @@ def kernel_basis(mat):
     """Deterministic kernel basis (one vector per free column of the RREF)."""
     if not mat.cols:
         return []
-    return nullspace(_dense_rows(mat), len(mat.cols),
+    return nullspace(_dense(mat.columns, range(len(mat.rows))), len(mat.cols),
                      mat.field.p if mat.field.kind == "GF" else 0)
 
 

@@ -6,6 +6,7 @@ import pytest
 from srbetti.complexes import (
     GateError,
     cycle,
+    from_facets,
     simplex,
     simplex_boundary,
     stacked_attach,
@@ -365,6 +366,17 @@ class TestVerifyLastStrand:
         rep = verify_last_strand(pendants, 2, GF2, mode="bary", vertex_gate=12)
         assert rep["method"] == "witnesses"
         assert len(calls) == 2  # one per level of the r = 2 tower
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_witness_mode_matches_full_table_below_depth_d(self, r):
+        # a triangle plus a disjoint edge has depth 1 < d = 2, so the top
+        # window index i = pdim needs a subset of size pdim + 2 > n: a zero
+        c = from_facets([(0, 1), (1, 2), (0, 2), (3, 4)], 5)
+        full = verify_last_strand(c, r, GF2)
+        wit = verify_last_strand(c, r, GF2, vertex_gate=8)
+        assert (full["method"], wit["method"]) == ("full_table", "witnesses")
+        assert wit["window"] == full["window"]
+        assert wit["window_nonzero"] == full["window_nonzero"] is False
 
 
 class TestAsymptoticWindow:

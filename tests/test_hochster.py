@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracle_koszul import koszul_betti_gf2
-from srbetti import hochster
+from srbetti import hochster, homology
 from srbetti.complexes import (
     cycle,
     from_facets,
@@ -40,10 +40,10 @@ def naive_table(c, field):
     return entries
 
 
-def random_complexes():
-    """Complexes on up to 9 ambient vertices; facets of up to four vertices
-    give non-flag complexes, and ids in no facet are ghost vertices."""
-    return st.integers(1, 9).flatmap(
+def random_complexes(max_n=9):
+    """Complexes on up to max_n ambient vertices; facets of up to four
+    vertices give non-flag complexes, and ids in no facet are ghosts."""
+    return st.integers(1, max_n).flatmap(
         lambda n: st.lists(
             st.sets(st.integers(0, n - 1), min_size=1, max_size=4),
             min_size=1, max_size=7,
@@ -109,10 +109,24 @@ class TestAgainstNaiveOracle:
         for workers in (1, 2, 3):
             assert graded_betti_table(rp2, field, workers=workers).entries == expected
 
+    @given(random_complexes(8), st.sampled_from([QQ, GF2, GF3]))
+    @settings(max_examples=40, deadline=None)
+    def test_every_subset_against_its_induced_complex(self, c, field):
+        """The rank of each W on its own, collapse-free or not, against
+        homology of the induced subcomplex built from scratch."""
+        _, masks, bnds, *_ = hochster._payload(c, field)
+        for w in range(1 << c.n):
+            betti = reduced_betti(c.induced([v for v in range(c.n) if w >> v & 1]),
+                                  field)
+            expected = [betti[k] for k in range(-1, max(betti) + 1)]
+            while expected and not expected[-1]:
+                expected.pop()
+            assert hochster._induced_betti(w, masks, bnds, field) == tuple(expected)
+
     def test_collapses_leave_few_subsets_to_rank(self, sd_simplex3, monkeypatch):
         calls = []
-        rank = hochster.gf2_rank
-        monkeypatch.setattr(hochster, "gf2_rank", lambda cols: calls.append(1) or rank(cols))
+        rank = homology.gf2_rank
+        monkeypatch.setattr(homology, "gf2_rank", lambda cols: calls.append(1) or rank(cols))
         graded_betti_table(sd_simplex3, GF2)
         assert 0 < len(calls) < (1 << sd_simplex3.n) // 100
 
