@@ -16,11 +16,26 @@ each W depends on W alone, and the table adds up (#W, homology) counts, so
 the result does not depend on how the subset range is split across
 workers: a worker only copies ids from its own range and ranks W when no
 collapse stays inside it.
+
+Whether v is dominated in Delta_W depends only on v and W & N(v), so each
+answer is looked up in a per-vertex table of 2^deg(v) bytes, indexed by
+W & N(v) packed to deg(v) bits, and computed once.  Tables go to the
+vertices of least degree while all of them fit in 2^(n-1) bytes, an
+eighth of the 4*2^n-byte id array; every other vertex is tested each time.
+Packing the index costs 4*(2^floor(n/2) + 2^ceil(n/2)) more bytes per
+table, 16 KiB at n = 22.
+
+A ranked W needs no rank for its edges: the rank of the edge boundary of a
+graph is #vertices - #components over every field, and the components
+come from a bitmask search over the neighbour masks.  Kernels rank only
+the boundaries of 2-faces and up.
+
+Tables below POOL_MIN_SUBSETS subsets run in one process whatever the
+worker count: under it, starting a pool costs more than it saves.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from array import array
 from dataclasses import dataclass, field as dataclass_field
 
@@ -28,6 +43,7 @@ from .complexes import GateError, _adjacency
 from .homology import FieldSpec, QQ, boundary_matrix, boundary_rank, reduced_betti
 
 DEFAULT_VERTEX_GATE = 22
+POOL_MIN_SUBSETS = 1 << 16   # 2 workers beat 1 from about 16 vertices on
 
 
 class VertexGateError(GateError):
@@ -100,9 +116,10 @@ def _payload(c, field):
     boundary columns, `boundary_matrix(c, k).columns`: the indices of each
     face's facets among the (k-1)-faces.  Besides these it carries the
     domination test, read off the minimal non-faces once: neighbour
-    bitmasks; per vertex u, the other ends of the 2-element non-faces
-    through u; per u, the masks M - u of the larger non-faces M through u;
-    the set of face masks; and the mask of ghost vertices (in no face).
+    bitmasks, which also give the components of Delta_W; per vertex u,
+    the other ends of the 2-element non-faces through u; per u, the masks
+    M - u of the larger non-faces M through u; the set of face masks; and
+    the mask of ghost vertices (in no face).
     """
     n, dims = c.n, c.dim + 1
     masks = tuple(tuple(sum(1 << v for v in f) for f in c.faces_of_dim(k))
@@ -151,27 +168,89 @@ def _dominated(b, nw, non_nbr, rests, face_masks):
     return False
 
 
-def _induced_betti(w, masks, bnds, field):
-    """Reduced Betti numbers (b_-1, b_0, ...) of Delta_W, trailing zeros
-    dropped, from the faces inside W and the ranks of their boundaries."""
-    sel = []
-    for masks_k in masks:
-        sel_k = [i for i, m in enumerate(masks_k) if m & w == m]
-        if not sel_k:
+def _packer(mask, width, shift):
+    """t[x] for x < 2^width: the bits of x at the set bits of mask, packed
+    into consecutive bits from `shift` up."""
+    t = array("I", [0])
+    for j in range(width):
+        if mask >> j & 1:
+            t.extend(x | 1 << shift for x in t.tolist())
+            shift += 1
+        else:
+            t.extend(t)
+    return t
+
+
+def _domination_tables(payload):
+    """Per vertex v, a lookup of whether v is a ghost or dominated in
+    Delta_W, and the bit count `half` that splits the index.
+
+    The answer depends only on v and W & N(v), so tables[v] is (known,
+    pack_low, pack_high): known is a bytearray indexed by W & N(v) packed
+    to deg(v) bits, pack_low[x & (2^half - 1)] | pack_high[x >> half], and
+    holds 0 (unknown), 1 (yes) or 2 (no), filled by `_dominated` the first
+    time an index comes up.  A ghost's one entry is 1.  Vertices of least
+    degree get tables first while their 2^deg(v) bytes fit in 2^(n-1) in
+    all; tables[v] is None for every other vertex.
+    """
+    n, nbr, ghost = payload[0], payload[4], payload[5]
+    half = n // 2
+    budget = (1 << n) >> 1
+    tables = [None] * n
+    for v in sorted(range(n), key=lambda v: nbr[v].bit_count()):
+        size = 1 << nbr[v].bit_count()
+        if size > budget:
             break
-        sel.append(sel_k)
-    # rank of the augmented boundary in each degree; degree 0 maps every
-    # vertex to the empty face, so its rank is 1 iff W spans a vertex
-    ranks = [0] * (len(sel) + 1)
-    if sel:
-        ranks[0] = 1
-    for k in range(1, len(sel)):
-        bnd_k = bnds[k]
-        ranks[k] = boundary_rank([bnd_k[gi] for gi in sel[k]],
-                                 {gi: li for li, gi in enumerate(sel[k - 1])},
-                                 field)
-    betti = [1 - ranks[0]]
-    betti += [len(sel_k) - ranks[k] - ranks[k + 1] for k, sel_k in enumerate(sel)]
+        budget -= size
+        nbr_low = nbr[v] & ((1 << half) - 1)
+        tables[v] = (bytearray([1]) if ghost >> v & 1 else bytearray(size),
+                     _packer(nbr_low, half, 0),
+                     _packer(nbr[v] >> half, n - half, nbr_low.bit_count()))
+    return tables, half
+
+
+def _components(w, nbr):
+    """Number of connected components of the graph nbr induces on w."""
+    count = 0
+    while w:
+        comp = frontier = w & -w
+        while frontier:
+            b = frontier & -frontier
+            new = nbr[b.bit_length() - 1] & w & ~comp
+            comp |= new
+            frontier = (frontier ^ b) | new
+        w &= ~comp
+        count += 1
+    return count
+
+
+def _induced_betti(w, masks, bnds, nbr, field):
+    """Reduced Betti numbers (b_-1, b_0, ...) of Delta_W, trailing zeros
+    dropped, for a set w of vertices that lie in faces.
+
+    Degree 0 maps every vertex to the empty face, so its rank is 1 when W
+    is nonempty; the rank of the edge boundary is #W - #components over
+    every field; higher degrees rank the boundaries of the faces inside W.
+    """
+    if not w:
+        return (1,)
+    verts = w.bit_count()
+    counts = [verts]
+    ranks = [1, verts - _components(w, nbr)]
+    prev = None
+    for k in range(1, len(masks)):
+        sel = [i for i, m in enumerate(masks[k]) if m & w == m]
+        if not sel:
+            break
+        counts.append(len(sel))
+        if prev is not None:
+            bnd_k = bnds[k]
+            ranks.append(boundary_rank([bnd_k[gi] for gi in sel],
+                                       {gi: li for li, gi in enumerate(prev)},
+                                       field))
+        prev = sel
+    ranks.append(0)
+    betti = [0] + [f - ranks[k] - ranks[k + 1] for k, f in enumerate(counts)]
     while betti and not betti[-1]:
         betti.pop()
     return tuple(betti)
@@ -186,6 +265,9 @@ def _accumulate(payload, lo, hi):
     and an id already in the memo when W - v >= lo; otherwise W is ranked.
     """
     n, masks, bnds, field, nbr, ghost, non_nbr, rests, face_masks = payload
+    tables, half = _domination_tables(payload)
+    low = (1 << half) - 1
+    live = ((1 << n) - 1) & ~ghost
     memo = array("I", bytes(4 * (hi - lo)))
     ids = {}     # reduced Betti numbers -> id
     tally = []   # tally[id][#W]: subsets of each size with that homology
@@ -197,12 +279,23 @@ def _accumulate(payload, lo, hi):
             if w ^ b < lo:
                 break  # removing a higher vertex leaves a smaller W - v
             rest ^= b
-            if b & ghost or _dominated(b, nbr[b.bit_length() - 1] & w,
-                                       non_nbr, rests, face_masks):
+            v = b.bit_length() - 1
+            nw = nbr[v] & w
+            entry = tables[v]
+            if entry is None:
+                d = 1 if _dominated(b, nw, non_nbr, rests, face_masks) else 2
+            else:
+                known, pack_low, pack_high = entry
+                i = pack_low[nw & low] | pack_high[nw >> half]
+                d = known[i]
+                if not d:
+                    d = known[i] = (1 if _dominated(b, nw, non_nbr, rests, face_masks)
+                                    else 2)
+            if d == 1:
                 hid = memo[(w ^ b) - lo]
                 break
         if hid < 0:
-            betti = _induced_betti(w, masks, bnds, field)
+            betti = _induced_betti(w & live, masks, bnds, nbr, field)
             hid = ids.get(betti)
             if hid is None:
                 hid = ids[betti] = len(tally)
@@ -235,9 +328,11 @@ def graded_betti_table(c, field=QQ, vertex_gate=DEFAULT_VERTEX_GATE, workers=1):
             f"{c.n} vertices exceed the subset-enumeration gate {vertex_gate}")
     payload = _payload(c, field)
     total = 1 << c.n
-    if workers <= 1 or total < 1 << 8:
+    if workers <= 1 or total < POOL_MIN_SUBSETS:
         entries = _accumulate(payload, 0, total)
     else:
+        import multiprocessing
+
         chunks = []
         step = (total + workers - 1) // workers
         lo = 0

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from srbetti import cli
+from srbetti import cli, hochster
 from srbetti.complexes import cycle, dumps, loads, simplex
 from srbetti.subdivision import edgewise
 
@@ -50,8 +50,9 @@ def test_betti_json_and_field(capsys, c6_file):
     assert {"i": 1, "j": 1, "value": 9} in blob["entries"]
 
 
-def test_betti_worker_output_identical(capsys, tmp_path):
-    # 2^10 subsets, enough to start the worker pool
+def test_betti_worker_output_identical(capsys, tmp_path, monkeypatch):
+    # 2^10 subsets, with the pool threshold lowered so that workers fork
+    monkeypatch.setattr(hochster, "POOL_MIN_SUBSETS", 1 << 8)
     p = tmp_path / "ew.json"
     p.write_text(dumps(edgewise(simplex(2), 3)))
     _, out1, _ = run(capsys, "betti", str(p), "--workers", "1")

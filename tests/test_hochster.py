@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -40,6 +42,19 @@ def naive_table(c, field):
     return entries
 
 
+def link_is_cone(c, w, v):
+    """Brute force: v in W is a ghost of Delta_W, or its link there is a
+    cone, i.e. some vertex u joins every face of the link."""
+    verts = [u for u in range(c.n) if w >> u & 1]
+    faces = c.induced(verts).face_set
+    x = verts.index(v)
+    if (x,) not in faces:
+        return True
+    link = {f for f in faces if x not in f and tuple(sorted(f + (x,))) in faces}
+    return any(all(tuple(sorted(set(f) | {u})) in link for f in link)
+               for u in range(len(verts)) if u != x)
+
+
 def random_complexes(max_n=9):
     """Complexes on up to max_n ambient vertices; facets of up to four
     vertices give non-flag complexes, and ids in no facet are ghosts."""
@@ -76,22 +91,32 @@ class TestTable:
         with pytest.raises(VertexGateError):
             graded_betti_table(c6, QQ, vertex_gate=5)
 
-    def test_worker_partition_invariance(self):
+    def test_worker_partition_invariance(self, monkeypatch):
+        monkeypatch.setattr(hochster, "POOL_MIN_SUBSETS", 1 << 8)
         c = edgewise(simplex(2), 3)  # 2^10 subsets: the pool path
         t1 = graded_betti_table(c, GF2, workers=1)
         t3 = graded_betti_table(c, GF2, workers=3)
         assert t1.entries == t3.entries
 
-    def test_fields_agree_on_torsion_free_fixtures(self, c6):
-        for c in (c6, simplex_boundary(3), path(4), barycentric(simplex(2))):
+    def test_fields_agree_on_torsion_free_fixtures(self, c6, sd_simplex3):
+        # sd(simplex(3)) and edgewise(simplex(2), 4) embed in R^3, so by
+        # Alexander duality every induced subcomplex is torsion-free
+        for c in (c6, simplex_boundary(3), path(4), barycentric(simplex(2)),
+                  sd_simplex3, edgewise(simplex(2), 4)):
             a = graded_betti_table(c, QQ).entries
-            b = graded_betti_table(c, GF2).entries
-            g = graded_betti_table(c, FieldSpec.prime(5)).entries
-            assert a == b == g
+            for field in (GF2, GF3, FieldSpec.prime(5)):
+                assert graded_betti_table(c, field).entries == a
 
 
 class TestAgainstNaiveOracle:
     """The collapse loop against the per-subset sum, at every worker count."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def small_pool_threshold(self):
+        # tables of 2^8 subsets and more run workers 2 and 3 in a pool
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hochster, "POOL_MIN_SUBSETS", 1 << 8)
+            yield
 
     @given(random_complexes(), st.sampled_from([QQ, GF2, GF3]))
     @example(from_facets([(0, 1), (1, 2), (0, 2), (2, 3, 4), (4, 5, 6, 7)], 9), QQ)
@@ -113,15 +138,72 @@ class TestAgainstNaiveOracle:
     @settings(max_examples=40, deadline=None)
     def test_every_subset_against_its_induced_complex(self, c, field):
         """The rank of each W on its own, collapse-free or not, against
-        homology of the induced subcomplex built from scratch."""
-        _, masks, bnds, *_ = hochster._payload(c, field)
+        homology of the induced subcomplex built from scratch; ghosts are
+        stripped from W as the loop strips them."""
+        _, masks, bnds, _, nbr, ghost, *_ = hochster._payload(c, field)
         for w in range(1 << c.n):
             betti = reduced_betti(c.induced([v for v in range(c.n) if w >> v & 1]),
                                   field)
             expected = [betti[k] for k in range(-1, max(betti) + 1)]
             while expected and not expected[-1]:
                 expected.pop()
-            assert hochster._induced_betti(w, masks, bnds, field) == tuple(expected)
+            assert (hochster._induced_betti(w & ~ghost, masks, bnds, nbr, field)
+                    == tuple(expected))
+
+    @given(random_complexes(8))
+    @settings(max_examples=40, deadline=None)
+    def test_domination_tables_against_links(self, c):
+        """After a full loop, every (W, v) read through v's table, or asked
+        of `_dominated` where v has none, against the link of v in
+        Delta_W; each table's index packs the subsets of N(v) one to one."""
+        payload = hochster._payload(c, GF2)
+        _, _, _, _, nbr, _, non_nbr, rests, face_masks = payload
+        build, built = hochster._domination_tables, []
+        with mock.patch.object(hochster, "_domination_tables",
+                               lambda p: built.append(build(p)) or built[-1]):
+            hochster._accumulate(payload, 0, 1 << c.n)
+        (tables, half), = built
+
+        def index(v, nw):
+            _, pack_low, pack_high = tables[v]
+            return pack_low[nw & (1 << half) - 1] | pack_high[nw >> half]
+
+        for v, entry in enumerate(tables):
+            if entry is not None:
+                subsets, x = [0], nbr[v]
+                while x:
+                    subsets.append(x)
+                    x = (x - 1) & nbr[v]
+                assert sorted(index(v, x) for x in subsets) == list(range(len(entry[0])))
+        for w in range(1 << c.n):
+            for v in range(c.n):
+                if not w >> v & 1:
+                    continue
+                b, nw = 1 << v, nbr[v] & w
+                if tables[v] is None:
+                    answer = hochster._dominated(b, nw, non_nbr, rests, face_masks)
+                else:
+                    known, i = tables[v][0], index(v, nw)
+                    if not known[i]:
+                        known[i] = 1 if hochster._dominated(
+                            b, nw, non_nbr, rests, face_masks) else 2
+                    answer = known[i] == 1
+                assert answer == link_is_cone(c, w, v)
+
+    @pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=str)
+    def test_one_dimensional_complex_needs_no_rank(self, field, monkeypatch):
+        """H~_0 comes from a component count and a graph has no higher
+        boundary, so no rank kernel runs."""
+        edges = [(i, (i + 1) % 8) for i in range(8)] + [(8, 9), (9, 10)]
+        c = from_facets(edges, 11)  # cycle(8) plus a disjoint path
+        expected = naive_table(c, field)
+
+        def no_rank(*_):
+            raise AssertionError("rank kernel called")
+
+        for name in ("gf2_rank", "gfp_rank", "int_rank"):
+            monkeypatch.setattr(homology, name, no_rank)
+        assert graded_betti_table(c, field).entries == expected
 
     def test_collapses_leave_few_subsets_to_rank(self, sd_simplex3, monkeypatch):
         calls = []
