@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import simplex
+from .complexes import GateError, simplex
 from .homology import GF2, top_homology_nonzero, reduced_betti
 from .hochster import graded_betti_table
 from .subdivision import barycentric, edgewise
@@ -413,32 +413,17 @@ def verify_predictions(kind, d, r=None, field=GF2, vertex_gate=22, workers=1):
     return report
 
 
-def reg_of_subdivision_exact(sub, field, lower_witness):
-    """Regularity of a subdivided complex too large for a full table.
-
-    A (d-1)-complex has regularity d exactly when its top cycle space is
-    nonzero (a homologically nontrivial induced subcomplex in degree d-1
-    is itself a top cycle of the whole complex).  Otherwise the regularity
-    is at most d-1, and an explicit induced subcomplex with homology in
-    degree d-2, passed as a vertex subset, pins it from below.
-    """
-    d = sub.dim + 1
-    if top_homology_nonzero(sub, field):
-        return d
-    ranks = reduced_betti(sub.induced(lower_witness), field)
-    if ranks.get(d - 2, 0) == 0:
-        raise ValueError("witness subset does not carry degree d-2 homology")
-    return d - 1
-
-
 def reg_after_subdivision(base, mode, field, table_gate=14, workers=1):
     """Exact regularity of the subdivided base complex.
 
-    Uses the full Betti table when the subdivision stays small; otherwise
-    falls back to the top-cycle criterion with a constructed witness: the
-    vertices below one top face (barycentric) or the link of a vertex
-    supported on a full facet (edgewise), both of which induce a sphere
-    one dimension down.
+    Uses the full Betti table when the subdivision stays small.  Otherwise
+    a (d-1)-complex has regularity d exactly when its top cycle space is
+    nonzero (a homologically nontrivial induced subcomplex in degree d-1
+    is itself a top cycle of the whole complex); if it is zero, the
+    regularity is d-1, pinned from below by an induced sphere one
+    dimension down: the vertices below one top face (barycentric) or the
+    link of a vertex supported on a full facet (edgewise).  Edgewise with
+    r < d has no such vertex, and the theory gives only a lower bound.
     """
     if mode == "sd":
         sub = barycentric(base)
@@ -451,12 +436,19 @@ def reg_after_subdivision(base, mode, field, table_gate=14, workers=1):
         return graded_betti_table(sub, field, vertex_gate=table_gate,
                                   workers=workers).reg()
     d = sub.dim + 1
+    if top_homology_nonzero(sub, field):
+        return d
     if mode == "sd":
         top_face = max(base.facets, key=len)
         witness = [i for i, lab in enumerate(sub.labels)
                    if lab < frozenset(top_face)]
+    elif r < d:
+        raise GateError(f"edgewise r={r} < d={d} without top homology: only a "
+                        f"lower bound on reg above the table gate {table_gate}")
     else:
         v = next(i for i, lab in enumerate(sub.labels)
                  if sum(1 for x in lab if x) == d)
         witness = list(sub.link((v,)).vertex_map)
-    return reg_of_subdivision_exact(sub, field, witness)
+    if reduced_betti(sub.induced(witness), field).get(d - 2, 0) == 0:
+        raise ValueError("witness subset does not carry degree d-2 homology")
+    return d - 1

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field as dataclass_field
+from typing import NamedTuple
 
 from .complexes import GateError, _adjacency
 from .homology import FieldSpec, QQ, boundary_matrix, boundary_rank, reduced_betti
@@ -68,59 +69,59 @@ class StrandProfile:
 class BettiTable:
     """Map (homological index i, strand j) -> beta_{i,i+j}.
 
-    A complete table represents absent keys as true zeros.  A partial
-    table (witness mode) only certifies the recorded nonzero entries and
-    refuses to answer zero queries.
+    Every table sums Hochster's formula over all vertex subsets, so an
+    absent key is a true zero.  Single nonzero entries of complexes above
+    the gate are certified by `betti_witness` instead.
     """
 
     n: int
     field: FieldSpec
     entries: dict = dataclass_field(default_factory=dict)
-    complete: bool = True
 
     def entry(self, i, j):
-        val = self.entries.get((i, j))
-        if val is None:
-            if not self.complete:
-                raise LookupError("partial table cannot certify a zero entry")
-            return 0
-        return val
+        return self.entries.get((i, j), 0)
 
     def pdim(self):
-        self._require_complete()
         return max((i for (i, _), v in self.entries.items() if v), default=0)
 
     def reg(self):
-        self._require_complete()
         return max((j for (_, j), v in self.entries.items() if v), default=0)
 
     def strand(self, j):
-        self._require_complete()
         return {i: v for (i, jj), v in self.entries.items() if jj == j and v}
-
-    def _require_complete(self):
-        if not self.complete:
-            raise ValueError("operation requires a complete Betti table")
 
     def to_rows(self):
         """(i, j) -> value as a dense list of rows for printing."""
-        self._require_complete()
         p, r = self.pdim(), self.reg()
         return [[self.entry(i, j) for j in range(r + 1)] for i in range(p + 1)]
 
 
-def _payload(c, field):
+class _Payload(NamedTuple):
     """Flat, picklable description of the complex for the subset loop.
 
-    Per dimension k it carries the vertex masks of the k-faces and their
+    masks[k] holds the vertex masks of the k-faces and bnds[k] their
     boundary columns, `boundary_matrix(c, k).columns`: the indices of each
-    face's facets among the (k-1)-faces.  Besides these it carries the
-    domination test, read off the minimal non-faces once: neighbour
-    bitmasks, which also give the components of Delta_W; per vertex u,
-    the other ends of the 2-element non-faces through u; per u, the masks
-    M - u of the larger non-faces M through u; the set of face masks; and
-    the mask of ghost vertices (in no face).
+    face's facets among the (k-1)-faces.  The rest is the domination test,
+    read off the minimal non-faces once: nbr[v] is the neighbour bitmask of
+    v, which also gives the components of Delta_W; non_nbr[u] the other
+    ends of the 2-element non-faces through u; rests[u] the masks M - u of
+    the larger non-faces M through u; face_masks the set of face masks; and
+    ghost the mask of ghost vertices (in no face).
     """
+
+    n: int
+    masks: tuple
+    bnds: tuple
+    field: FieldSpec
+    nbr: tuple
+    ghost: int
+    non_nbr: tuple
+    rests: tuple
+    face_masks: frozenset
+
+
+def _payload(c, field):
+    """The `_Payload` of c over field."""
     n, dims = c.n, c.dim + 1
     masks = tuple(tuple(sum(1 << v for v in f) for f in c.faces_of_dim(k))
                   for k in range(dims))
@@ -142,8 +143,8 @@ def _payload(c, field):
             for u in mnf:
                 rests[u].append(m ^ 1 << u)
     face_masks = frozenset(m for level in masks for m in level)
-    return (n, masks, bnds, field, tuple(_adjacency(c)), ghost,
-            tuple(non_nbr), tuple(map(tuple, rests)), face_masks)
+    return _Payload(n, masks, bnds, field, tuple(_adjacency(c)), ghost,
+                    tuple(non_nbr), tuple(map(tuple, rests)), face_masks)
 
 
 def _dominated(b, nw, non_nbr, rests, face_masks):
@@ -193,7 +194,7 @@ def _domination_tables(payload):
     degree get tables first while their 2^deg(v) bytes fit in 2^(n-1) in
     all; tables[v] is None for every other vertex.
     """
-    n, nbr, ghost = payload[0], payload[4], payload[5]
+    n, nbr, ghost = payload.n, payload.nbr, payload.ghost
     half = n // 2
     budget = (1 << n) >> 1
     tables = [None] * n
@@ -346,7 +347,7 @@ def graded_betti_table(c, field=QQ, vertex_gate=DEFAULT_VERTEX_GATE, workers=1):
         for part in parts:
             for key, val in part.items():
                 entries[key] = entries.get(key, 0) + val
-    return BettiTable(n=c.n, field=field, entries=entries, complete=True)
+    return BettiTable(n=c.n, field=field, entries=entries)
 
 
 def betti_witness(c, field, w):
@@ -366,18 +367,8 @@ def betti_witness(c, field, w):
     return out
 
 
-def witness_table(c, field, subsets):
-    """Partial table accumulated from explicit witness subsets."""
-    entries = {}
-    for w in subsets:
-        for i, j, rank in betti_witness(c, field, w):
-            entries[(i, j)] = entries.get((i, j), 0) + rank
-    return BettiTable(n=c.n, field=field, entries=entries, complete=False)
-
-
 def strand_profile(table, j):
-    """Endpoints and internal zero set of strand j of a complete table."""
-    table._require_complete()
+    """Endpoints and internal zero set of strand j of a table."""
     nz = sorted(i for (i, jj), v in table.entries.items() if jj == j and v)
     if not nz:
         return StrandProfile(j, None, None, ())
@@ -417,7 +408,6 @@ def gorenstein_symmetry_check(table, d):
     """Check beta_{i,i+j} = beta_{p-i, p+d-1-i-j+...}, i.e. the graded
     Poincare duality with p = 2^d - d - 1 pairing strand j with strand
     d-1-j and homological index i with p-i."""
-    table._require_complete()
     p = (1 << d) - d - 1
     keys = set(table.entries)
     keys |= {(p - i, d - 1 - j) for (i, j) in keys}

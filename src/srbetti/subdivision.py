@@ -124,7 +124,7 @@ def _max_cliques(nbrs):
             out.append(r)
             return
         px = p | x
-        pivot = max(_bits(px), key=lambda u: _popcount(p & nbrs[u]))
+        pivot = max(_bits(px), key=lambda u: (p & nbrs[u]).bit_count())
         cand = p & ~nbrs[pivot]
         while cand:
             v = (cand & -cand).bit_length() - 1
@@ -143,10 +143,6 @@ def _bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _popcount(mask):
-    return bin(mask).count("1")
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,7 @@ from srbetti.complexes import (
     stacked_attach,
     stacked_sphere,
 )
-from srbetti import subdivision
+from srbetti import asymptotics, subdivision
 from srbetti.homology import GF2, QQ
 from srbetti.asymptotics import (
     MinimalCycle,
@@ -367,16 +367,37 @@ class TestVerifyLastStrand:
         assert rep["method"] == "witnesses"
         assert len(calls) == 2  # one per level of the r = 2 tower
 
-    @pytest.mark.parametrize("r", [1, 2])
-    def test_witness_mode_matches_full_table_below_depth_d(self, r):
-        # a triangle plus a disjoint edge has depth 1 < d = 2, so the top
-        # window index i = pdim needs a subset of size pdim + 2 > n: a zero
-        c = from_facets([(0, 1), (1, 2), (0, 2), (3, 4)], 5)
-        full = verify_last_strand(c, r, GF2)
-        wit = verify_last_strand(c, r, GF2, vertex_gate=8)
+    @pytest.mark.parametrize("field", [GF2, QQ], ids=str)
+    @pytest.mark.parametrize("name, mode, r", [
+        ("pendants", "bary", 1), ("pendants", "edge", 2), ("pendants", "edge", 3),
+        ("triangle+edge", "bary", 1), ("triangle+edge", "bary", 2),
+        ("triangle+edge", "edge", 2)])
+    def test_witness_mode_matches_full_table(self, pendants, name, mode, r, field):
+        # pendants have depth d = 2, so the window holds; a triangle plus a
+        # disjoint edge has depth 1 < d, so the top window index i = pdim
+        # needs a subset of size pdim + 2 > n: a zero
+        if name == "pendants":
+            c = pendants
+        else:
+            c = from_facets([(0, 1), (1, 2), (0, 2), (3, 4)], 5)
+        full = verify_last_strand(c, r, field, mode=mode)
+        wit = verify_last_strand(c, r, field, mode=mode, vertex_gate=c.n)
         assert (full["method"], wit["method"]) == ("full_table", "witnesses")
         assert wit["window"] == full["window"]
-        assert wit["window_nonzero"] == full["window_nonzero"] is False
+        assert wit["window_nonzero"] is full["window_nonzero"] is (name == "pendants")
+
+    def test_witness_mode_ranks_once(self, pendants, monkeypatch):
+        """Top cycles survive adding vertices, so one rank on the
+        subdivided support certifies the whole window."""
+        calls = []
+        top = asymptotics.top_homology_nonzero
+        monkeypatch.setattr(asymptotics, "top_homology_nonzero",
+                            lambda c, field: calls.append(c.n) or top(c, field))
+        rep = verify_last_strand(pendants, 3, GF2)
+        assert (rep["method"], rep["n"]) == ("witnesses", 40)
+        assert rep["window"] == (22, 38)
+        assert rep["window_nonzero"]
+        assert len(calls) == 1
 
 
 class TestAsymptoticWindow:

@@ -48,6 +48,7 @@ def test_betti_json_and_field(capsys, c6_file):
     assert code == 0
     blob = json.loads(out)
     assert {"i": 1, "j": 1, "value": 9} in blob["entries"]
+    assert blob["complete"] is True
 
 
 def test_betti_worker_output_identical(capsys, tmp_path, monkeypatch):
@@ -188,6 +189,8 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert "mj: ok" in out
+    assert "reg: ok" in out
+    assert [line.split(":")[0] for line in out.splitlines()] == list(cli._SUITES)
 
 
 def test_selftest_fault_injection(capsys, monkeypatch):

@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from srbetti.complexes import from_facets, simplex, simplex_boundary
+from srbetti.complexes import (
+    GateError,
+    from_facets,
+    simplex,
+    simplex_boundary,
+    stacked_sphere,
+)
 from srbetti.homology import GF2, QQ, reduced_betti
 from srbetti.formulas import (
     admissible_sequences,
@@ -13,6 +19,7 @@ from srbetti.formulas import (
     predict_strand_bary,
     predict_strand_edgewise,
     predict_t1_edgewise,
+    reg_after_subdivision,
     sphere_family,
     sphere_family_degree,
     strand_start_bruteforce,
@@ -148,6 +155,22 @@ class TestPredictReg:
         p = predict_reg(rp2, QQ, ("edgewise", 2))
         assert not p.exact
         assert p.value == 2
+
+
+class TestRegAfterSubdivision:
+    def test_top_homology_above_gate_needs_no_witness(self):
+        # r = 2 < d = 3: no vertex has d positive coordinates, but the top
+        # cycle settles reg = d
+        sphere = stacked_sphere(2, 8)
+        mode = ("edgewise", 2)
+        p = predict_reg(sphere, QQ, mode)
+        assert (p.value, p.exact) == (3, True)
+        assert reg_after_subdivision(sphere, mode, QQ) == 3
+        assert reg_after_subdivision(sphere, mode, QQ, table_gate=22) == 3
+
+    def test_lower_bound_only_is_gated(self):
+        with pytest.raises(GateError, match="lower bound"):
+            reg_after_subdivision(barycentric(simplex(2)), ("edgewise", 2), QQ)
 
 
 class TestSphereFamily:

@@ -22,7 +22,6 @@ from srbetti.hochster import (
     pdim_after_barycentric,
     ring_invariants,
     strand_profile,
-    witness_table,
 )
 from srbetti.subdivision import barycentric, edgewise
 
@@ -140,14 +139,15 @@ class TestAgainstNaiveOracle:
         """The rank of each W on its own, collapse-free or not, against
         homology of the induced subcomplex built from scratch; ghosts are
         stripped from W as the loop strips them."""
-        _, masks, bnds, _, nbr, ghost, *_ = hochster._payload(c, field)
+        p = hochster._payload(c, field)
         for w in range(1 << c.n):
             betti = reduced_betti(c.induced([v for v in range(c.n) if w >> v & 1]),
                                   field)
             expected = [betti[k] for k in range(-1, max(betti) + 1)]
             while expected and not expected[-1]:
                 expected.pop()
-            assert (hochster._induced_betti(w & ~ghost, masks, bnds, nbr, field)
+            assert (hochster._induced_betti(w & ~p.ghost, p.masks, p.bnds, p.nbr,
+                                            field)
                     == tuple(expected))
 
     @given(random_complexes(8))
@@ -157,7 +157,8 @@ class TestAgainstNaiveOracle:
         of `_dominated` where v has none, against the link of v in
         Delta_W; each table's index packs the subsets of N(v) one to one."""
         payload = hochster._payload(c, GF2)
-        _, _, _, _, nbr, _, non_nbr, rests, face_masks = payload
+        nbr, non_nbr = payload.nbr, payload.non_nbr
+        rests, face_masks = payload.rests, payload.face_masks
         build, built = hochster._domination_tables, []
         with mock.patch.object(hochster, "_domination_tables",
                                lambda p: built.append(build(p)) or built[-1]):
@@ -277,14 +278,6 @@ class TestWitness:
         w_sets, _ = sphere_family(5, (0, 1))
         w = labels_to_vertices(sd4, set().union(*w_sets))
         assert betti_witness(sd4, QQ, w) == [(5, 3, 1)]
-
-    def test_partial_table_refuses_zeros(self, c6):
-        t = witness_table(c6, QQ, [[0, 3]])
-        assert t.entry(1, 1) == 1
-        with pytest.raises(LookupError):
-            t.entry(2, 1)
-        with pytest.raises(ValueError):
-            t.pdim()
 
 
 class TestStrandProfile:
