@@ -304,31 +304,34 @@ def limit_ratio_example(d, p, q, scale):
 # -- last-strand verification at small r -------------------------------------------
 
 
-def verify_last_strand(c, r, field, mode="bary", vertex_gate=22, workers=1,
-                       cycle_field=GF2):
+def verify_last_strand(c, r, field, mode="bary", vertex_gate=22, workers=1):
     """Check the last-strand window of the r-fold subdivision of c.
 
-    The minimal top cycle of c (over a prime field) spans an induced
-    subcomplex whose subdivision keeps carrying top homology; with V the
-    vertex count of that subdivided support, beta_{i,i+d} must be nonzero
-    for V - d <= i <= pdim.  Within the vertex gate this is read off the
-    full table, and zeros below the window are reported as observations.
-    Above it one rank certifies the whole window: a (d-1)-complex has no
+    The minimal top cycle of c over GF(2) spans an induced subcomplex
+    whose subdivision keeps carrying top homology; with V the vertex count
+    of that subdivided support, beta_{i,i+d} must be nonzero for
+    V - d <= i <= pdim.  Within the vertex gate this is read off the full
+    table, and zeros below the window are reported as observations.  Above
+    it one rank certifies the whole window: a (d-1)-complex has no
     d-faces, so Z_{d-1}(Delta_W) lies in Z_{d-1}(Delta_W') whenever W lies
     in W', and a top cycle on the subdivided support gives every subset of
     size i + d that contains it nonzero top homology.  Such subsets exist
     up to i = pdim exactly when pdim + d <= n, that is depth = d.
+
+    Raises ValueError when c has no top homology over `field`, where the
+    theorem does not apply.  Either table read here has reg = d exactly
+    when that homology is nonzero, so this costs no rank.
     """
     d = c.dim + 1
-    mc = minimal_top_cycle(c, cycle_field)
+    mc = minimal_top_cycle(c)
     if mode == "bary":
         sub, sigma_vertices = _subdivide_with_support(c, r, mc)
-        v_sigma = len(sigma_vertices)
     elif mode == "edge":
         sub = edgewise(c, r)
-        v_sigma = edgewise_vertex_count(mc.induced, r)
+        sigma_vertices = _subdivided_support_vertices_edge(mc, sub)
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    v_sigma = len(sigma_vertices)
     report = {
         "mode": mode,
         "r": r,
@@ -341,11 +344,17 @@ def verify_last_strand(c, r, field, mode="bary", vertex_gate=22, workers=1,
         "nonzeros_below_window": [],
         "method": None,
     }
-    if sub.n <= vertex_gate:
-        table = graded_betti_table(sub, field, vertex_gate=vertex_gate,
-                                   workers=workers)
+    full = sub.n <= vertex_gate
+    # above the gate the base table gives pdim: depth is invariant under
+    # both subdivisions, so pdim of the subdivided ring is n - depth(base)
+    table = graded_betti_table(sub if full else c, field,
+                               vertex_gate=vertex_gate, workers=workers)
+    if table.reg() < d:
+        raise ValueError(f"no top homology over {field}: the last-strand "
+                         f"theorem does not apply")
+    lo = v_sigma - d
+    if full:
         pdim = table.pdim()
-        lo = v_sigma - d
         report["method"] = "full_table"
         report["window"] = (lo, pdim)
         report["window_nonzero"] = all(table.entry(i, d) != 0
@@ -356,17 +365,10 @@ def verify_last_strand(c, r, field, mode="bary", vertex_gate=22, workers=1,
             else:
                 report["nonzeros_below_window"].append(i)
         return report
-    # witness mode: depth is invariant under both subdivisions, so pdim of
-    # the subdivided ring is n - depth(base)
-    base_table = graded_betti_table(c, field, vertex_gate=vertex_gate,
-                                    workers=workers)
-    depth = c.n - base_table.pdim()
+    depth = c.n - table.pdim()
     pdim = sub.n - depth
-    lo = v_sigma - d
     report["method"] = "witnesses"
     report["window"] = (lo, pdim)
-    if mode == "edge":
-        sigma_vertices = _subdivided_support_vertices_edge(mc, sub)
     report["window_nonzero"] = (pdim + d <= sub.n and top_homology_nonzero(
         sub.induced(sigma_vertices), field))
     return report

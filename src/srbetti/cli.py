@@ -248,14 +248,16 @@ def _suite_reg(args):
         for field in (QQ, GF2):
             predicted = formulas.predict_reg(base, field, "sd")
             got = formulas.reg_after_subdivision(base, "sd", field,
+                                                 table_gate=args.gate,
                                                  workers=args.workers)
             items.append(_check(f"reg after barycentric {fname} {field}",
                                 predicted.exact and got == predicted.value,
                                 {"predicted": predicted.value, "got": got}))
             r = max(d, 2)
             predicted_e = formulas.predict_reg(base, field, ("edgewise", r))
-            got_e = formulas.reg_after_subdivision(base, ("edgewise", r),
-                                                   field, workers=args.workers)
+            got_e = formulas.reg_after_subdivision(base, ("edgewise", r), field,
+                                                   table_gate=args.gate,
+                                                   workers=args.workers)
             items.append(_check(f"reg after edgewise r={r} {fname} {field}",
                                 predicted_e.exact and got_e == predicted_e.value,
                                 {"predicted": predicted_e.value, "got": got_e}))

@@ -8,15 +8,20 @@ a in N^n with sum r; a subset F is a face iff
   (ii) any two members a, b satisfy: the partial sums of a-b are all in
        {0,1} or all in {-1,0}.
 
-Condition (ii) is evaluated on partial sums directly, which is the same
-relation as the usual unit-upper-triangular change of coordinates but
-avoids materializing those vectors.
+In partial-sum coordinates x_i = a_1 + ... + a_i (i < n), condition (ii)
+says that x(a) - x(b) is a 0/1 vector up to sign, so the members of a
+face lie on one chain x, x + e_{p1}, x + e_{p1} + e_{p2}, ...,
+x + (1, ..., 1).  The subdivision of a simplex is therefore the
+Freudenthal (Kuhn) triangulation of the region
+0 <= x_1 <= ... <= x_{n-1} <= r (Edelsbrunner and Grayson, Edgewise
+subdivision of a simplex), and its facets, the chains that stay inside
+the region, are built directly instead of searched for.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial
 
 from .complexes import (
@@ -73,29 +78,8 @@ def sum_factorial_facets(c):
     return sum(factorial(len(g)) for g in c.facets)
 
 
-def _compatible(a, b):
-    """Pairwise edgewise condition on two compositions of equal total."""
-    s = 0
-    up = down = True
-    for x, y in zip(a, b):
-        s += x - y
-        if s > 1 or s < -1:
-            return False
-        if s == 1:
-            down = False
-        elif s == -1:
-            up = False
-        if not (up or down):
-            return False
-    return True
-
-
 def _positive_compositions(total, parts):
     """Compositions of `total` into `parts` strictly positive parts."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
     if parts == 1:
         if total >= 1:
             yield (total,)
@@ -105,62 +89,37 @@ def _positive_compositions(total, parts):
             yield (first,) + rest
 
 
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _max_cliques(nbrs):
-    """Bron-Kerbosch with pivoting on bitmask adjacency."""
-    n = len(nbrs)
-    out = []
-
-    def bk(r, p, x):
-        if not p and not x:
-            out.append(r)
-            return
-        px = p | x
-        pivot = max(_bits(px), key=lambda u: (p & nbrs[u]).bit_count())
-        cand = p & ~nbrs[pivot]
-        while cand:
-            v = (cand & -cand).bit_length() - 1
-            bit = 1 << v
-            bk(r | bit, p & nbrs[v], x & nbrs[v])
-            p &= ~bit
-            x |= bit
-            cand &= ~bit
-
-    bk(0, (1 << n) - 1, 0)
-    return out
-
-
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 @lru_cache(maxsize=None)
 def _simplex_edgewise_facets(k, r):
     """Facets of the r-th edgewise subdivision of a simplex on k vertices,
-    as tuples of composition vectors of length k."""
-    verts = sorted(_compositions(r, k), reverse=True)
-    nbrs = [0] * len(verts)
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            if _compatible(verts[i], verts[j]):
-                nbrs[i] |= 1 << j
-                nbrs[j] |= 1 << i
-    cliques = _max_cliques(nbrs)
-    facets = sorted(tuple(sorted((verts[i] for i in _bits(cl)), reverse=True))
-                    for cl in cliques)
-    assert all(len(f) == k for f in facets)
-    return tuple(facets)
+    as tuples of composition vectors of length k, each in descending
+    lexicographic order.
+
+    Each facet is a Freudenthal chain in partial-sum coordinates: from a
+    weakly increasing x in [0, r-1]^(k-1), add the k-1 unit vectors one at
+    a time, every point staying weakly increasing.  A step that would
+    leave the region ends its branch; the r^(k-1) complete chains are the
+    facets.  Adding e_i moves one unit from part i+1 to part i, which
+    raises the composition lexicographically.
+    """
+    m = k - 1
+
+    def composition(x):
+        return tuple(b - a for a, b in zip((0, *x), (*x, r)))
+
+    facets = []
+
+    def grow(base, x, chain):
+        if len(chain) == k:
+            facets.append(tuple(reversed(chain)))
+        for i in range(m):
+            if x[i] == base[i] and (i + 1 == m or x[i] < x[i + 1]):
+                y = x[:i] + (x[i] + 1,) + x[i + 1:]
+                grow(base, y, chain + [composition(y)])
+
+    for base in combinations_with_replacement(range(r), m):
+        grow(base, base, [composition(base)])
+    return tuple(sorted(facets))
 
 
 def edgewise(c, r):
@@ -239,10 +198,12 @@ def interior_face_witness(d, r, s, c=None):
     """An s-vertex face of the r-th edgewise subdivision of the
     (d-1)-simplex whose relative interior avoids the boundary.
 
-    Candidates place unit prefixes on the first s coordinates and share a
-    strictly positive tail; each candidate is validated with
-    interior_face_check before being returned, so the value is fixed by
-    the validator.  Requires r >= d and 1 <= s <= d-1.
+    The face has the vertices e_k + (1, ..., 1, r-d+s) for k < s: a unit
+    vector on one of the first s coordinates followed by a shared strictly
+    positive tail.  Together they support every coordinate, while a proper
+    subset misses one of the first s.  The face is validated with
+    interior_face_check before being returned.  Requires r >= d and
+    1 <= s <= d-1.
     """
     if not (1 <= s <= d - 1):
         raise ValueError("face size must be between 1 and d-1")
@@ -250,21 +211,10 @@ def interior_face_witness(d, r, s, c=None):
         raise ValueError("interior faces need r >= d")
     if c is None:
         c = edgewise(simplex(d - 1), r)
-    for tail in _positive_compositions(r - 1, d - s):
-        ids = []
-        ok = True
-        for k in range(s):
-            a = [0] * s
-            a[k] = 1
-            comp = tuple(a) + tail
-            try:
-                ids.append(c.vertex_by_label(comp))
-            except ValueError:
-                ok = False
-                break
-        if not ok:
-            continue
-        face = tuple(sorted(ids))
-        if c.has_face(face) and interior_face_check(c, face):
-            return face
+    tail = (1,) * (d - s - 1) + (r - d + s,)
+    face = tuple(sorted(
+        c.vertex_by_label(tuple(int(i == k) for i in range(s)) + tail)
+        for k in range(s)))
+    if c.has_face(face) and interior_face_check(c, face):
+        return face
     raise RuntimeError(f"no interior witness found for d={d}, r={r}, s={s}")

@@ -397,6 +397,13 @@ class TestVerifyLastStrand:
         assert wit["window"] == full["window"]
         assert wit["window_nonzero"] is full["window_nonzero"] is (name == "pendants")
 
+    @pytest.mark.parametrize("mode, vertex_gate", [("bary", 6), ("edge", 22)])
+    def test_no_top_homology_over_field_raises(self, rp2, mode, vertex_gate):
+        # RP^2 has a top cycle over GF(2) but none over Q: witness mode at
+        # bary r = 1 (n = 31) and the full table at edge r = 1 (n = 6)
+        with pytest.raises(ValueError, match="no top homology over Q"):
+            verify_last_strand(rp2, 1, QQ, mode=mode, vertex_gate=vertex_gate)
+
     def test_witness_mode_ranks_once(self, pendants, monkeypatch):
         """Top cycles survive adding vertices, so one rank on the
         subdivided support certifies the whole window."""

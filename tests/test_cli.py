@@ -185,6 +185,20 @@ def test_verify_edgewise_checks_every_d(capsys):
     assert "edgewise strand windows d=2 r=3" in names
 
 
+def test_verify_reg_honours_gate(capsys, monkeypatch):
+    # every fixture subdivision has more than 2 vertices, so --gate 2
+    # settles each regularity without a table
+    from srbetti import formulas
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("table built above the gate")
+
+    monkeypatch.setattr(formulas, "graded_betti_table", refuse)
+    code, out, _ = run(capsys, "verify", "reg", "--gate", "2")
+    assert code == 0
+    assert all(it["status"] == "PASS" for it in json.loads(out)["checks"])
+
+
 def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0

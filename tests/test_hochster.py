@@ -1,3 +1,6 @@
+import contextlib
+import multiprocessing
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -111,10 +114,16 @@ class TestAgainstNaiveOracle:
     """The collapse loop against the per-subset sum, at every worker count."""
 
     @pytest.fixture(autouse=True, scope="class")
-    def small_pool_threshold(self):
-        # tables of 2^8 subsets and more run workers 2 and 3 in a pool
-        with pytest.MonkeyPatch.context() as mp:
+    def shared_pool(self):
+        # tables of 2^8 subsets and more run workers 2 and 3 in a pool; one
+        # fork pool of 3 serves every table, which still splits its subsets
+        # into 2 or 3 ranges and merges them
+        with multiprocessing.get_context("fork").Pool(3) as pool, \
+                pytest.MonkeyPatch.context() as mp:
             mp.setattr(hochster, "POOL_MIN_SUBSETS", 1 << 8)
+            shared = SimpleNamespace(
+                Pool=lambda workers: contextlib.nullcontext(pool))
+            mp.setattr(multiprocessing, "get_context", lambda method: shared)
             yield
 
     @given(random_complexes(), st.sampled_from([QQ, GF2, GF3]))

@@ -1,9 +1,11 @@
+from itertools import accumulate, product
 from math import factorial
 
 import pytest
 
 from srbetti.complexes import cycle, is_isomorphic, simplex, simplex_boundary
 from srbetti.subdivision import (
+    _simplex_edgewise_facets,
     barycentric,
     barycentric_iter,
     edgewise,
@@ -107,6 +109,32 @@ class TestEdgewise:
         with pytest.raises(ValueError):
             edgewise(c6, 0)
 
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_simplex_facets_against_definition(self, k):
+        """Every k-set of compositions of r that is pairwise compatible by
+        condition (ii), found by search, against the Freudenthal chains."""
+
+        def compatible(a, b):
+            sums = set(accumulate(x - y for x, y in zip(a, b)))
+            return sums <= {0, 1} or sums <= {-1, 0}
+
+        for r in range(1, 6):
+            verts = [a for a in product(range(r + 1), repeat=k) if sum(a) == r]
+            cliques = set()
+
+            def extend(chosen, candidates):
+                if len(chosen) == k:
+                    cliques.add(frozenset(chosen))
+                for j, a in enumerate(candidates):
+                    extend(chosen + [a], [b for b in candidates[j + 1:]
+                                          if compatible(a, b)])
+
+            extend([], verts)
+            facets = _simplex_edgewise_facets(k, r)
+            assert {frozenset(f) for f in facets} == cliques
+            assert len(facets) == r ** (k - 1)
+            assert all(list(f) == sorted(f, reverse=True) for f in facets)
+
 
 class TestInterior:
     def test_interior_vertex(self):
@@ -131,11 +159,13 @@ class TestInterior:
         assert [sub.labels[v] for v in face] == [(1, 1, 1)]
 
     def test_witness_validates(self):
-        sub = edgewise(simplex(2), 3)
-        for s in (1, 2):
-            face = interior_face_witness(3, 3, s, sub)
-            assert len(face) == s
-            assert interior_face_check(sub, face)
+        for d in range(2, 6):
+            for r in range(d, d + 3):
+                sub = edgewise(simplex(d - 1), r)
+                for s in range(1, d):
+                    face = interior_face_witness(d, r, s, sub)
+                    assert len(face) == s
+                    assert interior_face_check(sub, face)
 
     def test_witness_d4(self):
         sub = edgewise(simplex(3), 4)
