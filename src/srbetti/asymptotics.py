@@ -23,7 +23,8 @@ from .complexes import (
 )
 from .homology import (GF2, _eliminate, boundary_matrix, kernel_basis, nullspace,
                        top_homology_nonzero)
-from .hochster import graded_betti_table
+from .formulas import predict_strand_bary
+from .hochster import DEFAULT_VERTEX_GATE, graded_betti_table
 from .subdivision import barycentric_levels, edgewise
 
 LAMBDA_GATE = 8
@@ -226,7 +227,7 @@ def minimal_top_cycle(c, field=GF2):
     kernel is enumerated, so p^k is gated; the intended inputs have tiny
     top cycle spaces.
     """
-    if field.kind != "GF":
+    if not field.p:
         raise ValueError("cycle enumeration needs a prime field")
     d = c.dim
     if d < 0:
@@ -304,7 +305,8 @@ def limit_ratio_example(d, p, q, scale):
 # -- last-strand verification at small r -------------------------------------------
 
 
-def verify_last_strand(c, r, field, mode="bary", vertex_gate=22, workers=1):
+def verify_last_strand(c, r, field, mode="bary",
+                       vertex_gate=DEFAULT_VERTEX_GATE, workers=1):
     """Check the last-strand window of the r-fold subdivision of c.
 
     The minimal top cycle of c over GF(2) spans an induced subcomplex
@@ -407,20 +409,18 @@ def _subdivided_support_vertices_edge(mc, sub):
 # -- asymptotic windows -------------------------------------------------------------
 
 
-def asymptotic_window(c, r, mode, field=None, vertex_gate=22, workers=1):
+def asymptotic_window(c, r, mode, field=GF2, vertex_gate=DEFAULT_VERTEX_GATE,
+                      workers=1):
     """Predicted nonzero windows per strand of the r-fold subdivision.
 
-    For iterated barycentric subdivision (r >= 3) the window for strand j
-    ends at pdim + depth - N + E where N counts interior vertices of the
-    3-fold subdivided simplex and E is the window end for the subdivision
-    of the simplex itself; for edgewise subdivision (r >= 2d) the binomial
-    vertex counts of the d-th and 2d-th subdivisions take that role.
-    Window starts are j, the strand-start constant, or 2^d - d - 1.
+    Strand j's window starts where `predict_strand_bary(d, j)` turns
+    nonzero.  For iterated barycentric subdivision (r >= 3) it ends at
+    pdim + depth - N + E, where N counts interior vertices of the 3-fold
+    subdivided simplex and E is where that prediction's nonzero stretch
+    ends; for edgewise subdivision (r >= 2d) the vertex count of the 2d-th
+    subdivision of the simplex is N, and the pdim of its d-th subdivision,
+    which every strand reaches, is E.
     """
-    from .formulas import strand_start_closed
-
-    if field is None:
-        field = GF2
     d = c.dim + 1
     base_table = graded_betti_table(c, field, vertex_gate=vertex_gate,
                                     workers=workers)
@@ -440,20 +440,9 @@ def asymptotic_window(c, r, mode, field=None, vertex_gate=22, workers=1):
     pdim = n_sub - depth
     windows = {}
     for j in range(1, d):
-        if j == d - 1:
-            lo = (1 << d) - d - 1
-            tail = (1 << d) - d - 1
-        elif 2 * j <= d:
-            lo = j
-            tail = (1 << d) - d - 1 - strand_start_closed(d, d - j - 1)
-        else:
-            lo = strand_start_closed(d, j)
-            tail = (1 << d) - 2 * d + j
-        if mode == "bary":
-            hi = pdim + depth - offset + tail
-        else:
-            hi = comb(2 * d - 1, d - 1) - d + pdim + depth - offset
-        windows[j] = (lo, hi)
+        nonzeros = predict_strand_bary(d, j).nonzeros
+        tail = nonzeros[-1] if mode == "bary" else comb(2 * d - 1, d - 1) - d
+        windows[j] = (nonzeros[0], pdim + depth - offset + tail)
     return {
         "mode": mode,
         "r": r,

@@ -7,6 +7,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import factorial
 
 from . import asymptotics, complexes, formulas, hochster, subdivision
 from .complexes import GateError
@@ -178,34 +179,31 @@ def _suite_mj(args):
     return items
 
 
-def _suite_thm_bar(args):
+def _suite_windows(args, kind, name):
+    """One check of `verify_predictions` per --d, plus one observation per
+    entry the theorem leaves open; each names its field."""
     items = []
     field = FieldSpec.parse(args.field)
     for d in args.dims:
-        rep = formulas.verify_predictions("bary", d, field=field,
+        rep = formulas.verify_predictions(kind, d, r=args.r, field=field,
                                           vertex_gate=args.gate,
                                           workers=args.workers)
-        items.append(_check(f"strand windows of subdivided simplex d={d}",
-                            rep["ok"], {"agreements": rep["agreements"],
-                                        "violations": rep["violations"]}))
+        items.append(_check(name.format(d=d, r=args.r), rep["ok"],
+                            {"agreements": rep["agreements"],
+                             "violations": rep["violations"],
+                             "field": rep["field"]}))
         for obs in rep["observations"]:
-            items.append(_observe(f"unresolved entry d={d}", obs))
+            items.append(_observe(f"unresolved entry d={d}",
+                                  {**obs, "field": rep["field"]}))
     return items
+
+
+def _suite_thm_bar(args):
+    return _suite_windows(args, "bary", "strand windows of subdivided simplex d={d}")
 
 
 def _suite_edgewise(args):
-    items = []
-    field = FieldSpec.parse(args.field)
-    for d in args.dims:
-        rep = formulas.verify_predictions("edgewise", d, r=args.r, field=field,
-                                          vertex_gate=args.gate,
-                                          workers=args.workers)
-        items.append(_check(f"edgewise strand windows d={d} r={args.r}",
-                            rep["ok"], {"agreements": rep["agreements"],
-                                        "violations": rep["violations"]}))
-        for obs in rep["observations"]:
-            items.append(_observe(f"unresolved entry d={d}", obs))
-    return items
+    return _suite_windows(args, "edgewise", "edgewise strand windows d={d} r={r}")
 
 
 def _suite_gorenstein(args):
@@ -216,7 +214,8 @@ def _suite_gorenstein(args):
         table = hochster.graded_betti_table(sub, field, vertex_gate=args.gate,
                                             workers=args.workers)
         ok = hochster.gorenstein_symmetry_check(table, d)
-        items.append(_check(f"duality of subdivided simplex table d={d}", ok))
+        items.append(_check(f"duality of subdivided simplex table d={d}", ok,
+                            {"field": str(field)}))
     return items
 
 
@@ -286,8 +285,9 @@ def _suite_depth(args):
                                          workers=args.workers)
         ok_e = e2.n - t2.pdim() == depth0
         items.append(_check(f"depth invariance {name}", ok_sd and ok_e,
-                            {"depth": depth0}))
-        items.append(_check(f"pdim transfer under subdivision {name}", ok_pdim))
+                            {"depth": depth0, "field": str(field)}))
+        items.append(_check(f"pdim transfer under subdivision {name}", ok_pdim,
+                            {"field": str(field)}))
     return items
 
 
@@ -325,8 +325,6 @@ def _suite_limits(args):
     for d in range(1, 5):
         mat = asymptotics.sd_transfer_matrix(d)
         eig = asymptotics.eigendecompose(mat)
-        from math import factorial
-
         items.append(_check(
             f"transfer matrix diagonalizes d={d}",
             [int(v) for v in eig.diag] == [factorial(k) for k in range(d + 1)]))
@@ -361,6 +359,8 @@ _SUITES = {
 
 def cmd_verify(args):
     items = _SUITES[args.suite](args)
+    if not items:
+        raise ValueError(f"verify {args.suite}: these arguments select no claim")
     failed = [it for it in items if it["status"] == "FAIL"]
     report = {
         "suite": args.suite,
@@ -498,6 +498,10 @@ def main(argv=None):
         for key, value in env.items():
             if getattr(args, key, 0) is None:
                 setattr(args, key, value)
+        if getattr(args, "workers", 1) < 1:
+            raise ValueError(f"workers must be at least 1, got {args.workers}")
+        if any(d < 2 for d in getattr(args, "dims", ())):
+            raise ValueError(f"--d values must be at least 2, got {args.dims}")
         return args.fn(args)
     except GateError as exc:
         print(f"gate: {exc}", file=sys.stderr)

@@ -473,25 +473,43 @@ _STANDARD = {
 
 def standard_complex(spec):
     """Build a named complex from a spec string, e.g. "cycle(6)" or
-    "stacked_attach(cycle(3), 2)".  Only the named constructors and
-    literal arguments are allowed."""
+    "stacked_attach(cycle(3), 2)".  Only the named constructors with
+    positional integer, integer-tuple or complex arguments are allowed;
+    any other spec raises ValueError naming it."""
     import ast
 
+    def is_arg(a):
+        return (type(a) is int or isinstance(a, SimplicialComplex)
+                or isinstance(a, tuple) and all(type(x) is int for x in a))
+
     def build(node):
-        if isinstance(node, ast.Expression):
-            return build(node.body)
         if isinstance(node, ast.Call):
             if not isinstance(node.func, ast.Name) or node.func.id not in _STANDARD:
                 raise ValueError(f"unknown constructor in {spec!r}")
             args = [build(a) for a in node.args]
-            return _STANDARD[node.func.id](*args)
+            if node.keywords or not all(map(is_arg, args)):
+                raise ValueError(f"only positional integer or complex "
+                                 f"arguments are allowed in {spec!r}")
+            try:
+                return _STANDARD[node.func.id](*args)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{spec!r}: {exc}") from None
         if isinstance(node, ast.Name) and node.id == "rp2_six":
             return rp2_six()
-        if isinstance(node, (ast.Constant, ast.Tuple, ast.List)):
-            return ast.literal_eval(node)
+        if isinstance(node, ast.Constant):
+            return node.value
+        if isinstance(node, (ast.Tuple, ast.List)):
+            return tuple(build(e) for e in node.elts)
         raise ValueError(f"unsupported expression in {spec!r}")
 
-    return build(ast.parse(spec.strip(), mode="eval"))
+    try:
+        tree = ast.parse(spec.strip(), mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"cannot parse {spec!r}: {exc.msg}") from None
+    c = build(tree.body)
+    if not isinstance(c, SimplicialComplex):
+        raise ValueError(f"{spec!r} is not a complex")
+    return c
 
 
 # -- JSON round trip ---------------------------------------------------------

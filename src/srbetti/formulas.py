@@ -10,6 +10,15 @@ sum(2^(i_l + 2) - 2) over integer sequences subject to
 The closed form resolves this minimum with a Euclidean division; the
 brute-force enumeration below is kept deliberately independent so the two
 can be checked against each other.
+
+Every strand window follows from m(j) = `strand_start_closed(d, j)`.  The
+barycentric subdivision of the (d-1)-simplex is Gorenstein with
+p = pdim = 2^d - d - 1, so beta_{i,i+j} = beta_{p-i,p-i+d-1-j}: strand j
+is nonzero from m(j), and reflecting the start of its dual strand d-1-j
+gives the end p - m(d-1-j).  The edgewise subdivision (r >= d) is
+Cohen-Macaulay, and each strand is nonzero from m(j) to its pdim; the last
+strand starts at m(d-1) = 2^d - d - 1.  `predict_strand_bary` and
+`predict_strand_edgewise` hold these rules; everything else reads them.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from dataclasses import dataclass
 
 from .complexes import GateError, simplex
 from .homology import GF2, top_homology_nonzero, reduced_betti
-from .hochster import graded_betti_table
+from .hochster import DEFAULT_VERTEX_GATE, graded_betti_table
 from .subdivision import barycentric, edgewise
 
 ZERO = "zero"
@@ -56,22 +65,15 @@ def _monotone_sequences(total, parts):
 
 
 def strand_start_bruteforce(d, j):
-    """Exhaustive minimization oracle for the strand-start constant.
-
-    Enumerates every admissible sequence length r (both constraints force
-    r <= min(j, d-j)) and, since the objective is symmetric, only the
-    weakly increasing representative per multiset.
+    """Exhaustive minimization oracle for the strand-start constant: the
+    minimum of the objective over `admissible_sequences`, which lists every
+    admissible length r (both constraints force r <= min(j, d-j)) and, the
+    objective being symmetric, one weakly increasing sequence per multiset.
     """
     if not 1 <= j <= d - 1:
         raise ValueError(f"need 1 <= j <= d-1, got j={j}, d={d}")
-    best = None
-    for r in range(1, min(j, d - j) + 1):
-        for seq in _monotone_sequences(j - r, r):
-            val = sum((1 << (i + 2)) - 2 for i in seq)
-            if best is None or val < best:
-                best = val
-    assert best is not None
-    return best - j
+    return min(sum((1 << (i + 2)) - 2 for i in seq)
+               for seq in admissible_sequences(d, j)) - j
 
 
 def admissible_sequences(d, j):
@@ -92,7 +94,6 @@ class StrandPrediction:
 
     j: int
     classification: dict
-    source: str
 
     def of(self, kind):
         return sorted(i for i, v in self.classification.items() if v == kind)
@@ -110,51 +111,37 @@ class StrandPrediction:
         return self.of(UNKNOWN)
 
 
-def _classify(pdim, pieces):
-    """pieces: list of (lo, hi, kind) with inclusive bounds."""
+def _classify(j, pieces):
+    """Strand j from (lo, hi, kind) pieces with inclusive bounds: the first
+    piece spans 0..pdim and each later one overwrites its stretch."""
     cls = {}
     for lo, hi, kind in pieces:
-        for i in range(max(lo, 0), min(hi, pdim) + 1):
-            cls[i] = kind
-    assert sorted(cls) == list(range(pdim + 1))
-    return cls
+        cls.update(dict.fromkeys(range(lo, hi + 1), kind))
+    return StrandPrediction(j, cls)
 
 
 def predict_strand_bary(d, j):
     """Strand classification for the barycentric subdivision of the
-    (d-1)-simplex, over 0 <= i <= 2^d - d - 1.
+    (d-1)-simplex, over 0 <= i <= p = 2^d - d - 1.
 
-    The last strand j = d-1 is nonzero exactly at the projective
-    dimension.  For j <= d/2 the strand is nonzero from j up to
-    2^d-d-1-m(d-j-1) and zero beyond 2^d-2d+j, with the stretch between
-    unresolved; for d/2 < j <= d-2 the strand is nonzero from m(j) up to
-    2^d-2d+j, with the stretch from j to m(j)-1 unresolved.
+    With m the strand-start constant and j' = d-1-j the dual strand, strand
+    j <= d-2 is zero below j, unresolved on [j, m(j)-1], nonzero on
+    [m(j), p-m(j')], unresolved up to p-j' and zero beyond.  The upper half
+    is the lower half of strand j' reflected by the Gorenstein duality
+    beta_{i,i+j} = beta_{p-i,p-i+j'}.  The last strand is dual to strand 0,
+    which is beta_{0,0} alone, so it is nonzero exactly at i = p.
     """
     if not 1 <= j <= d - 1:
         raise ValueError(f"need 1 <= j <= d-1, got j={j}, d={d}")
-    pdim = (1 << d) - d - 1
+    p = (1 << d) - d - 1
     if j == d - 1:
-        pieces = [(0, pdim, ZERO), (pdim, pdim, NONZERO)]
-        return StrandPrediction(j, _classify(pdim, pieces), "bary-last-strand")
-    if 2 * j <= d:
-        upper_nz = (1 << d) - d - 1 - strand_start_closed(d, d - j - 1)
-        zero_from = (1 << d) - 2 * d + j + 1
-        pieces = [
-            (0, j - 1, ZERO),
-            (j, upper_nz, NONZERO),
-            (upper_nz + 1, zero_from - 1, UNKNOWN),
-            (zero_from, pdim, ZERO),
-        ]
-        return StrandPrediction(j, _classify(pdim, pieces), "bary-low-strand")
-    m = strand_start_closed(d, j)
-    upper_nz = (1 << d) - 2 * d + j
-    pieces = [
-        (0, j - 1, ZERO),
-        (j, m - 1, UNKNOWN),
-        (m, upper_nz, NONZERO),
-        (upper_nz + 1, pdim, ZERO),
-    ]
-    return StrandPrediction(j, _classify(pdim, pieces), "bary-high-strand")
+        return _classify(j, [(0, p, ZERO), (p, p, NONZERO)])
+    dual = d - 1 - j
+    return _classify(j, [
+        (0, p, ZERO),
+        (j, p - dual, UNKNOWN),
+        (strand_start_closed(d, j), p - strand_start_closed(d, dual), NONZERO),
+    ])
 
 
 def predict_strand_edgewise(d, j, r, n_vertices):
@@ -162,31 +149,20 @@ def predict_strand_edgewise(d, j, r, n_vertices):
     (d-1)-simplex on n_vertices vertices, valid for r >= d.
 
     The subdivided simplex triangulates a ball, so the ring is
-    Cohen-Macaulay and pdim = n_vertices - d; every strand runs to pdim.
+    Cohen-Macaulay and pdim = n_vertices - d; strand j is zero below j,
+    unresolved on [j, m(j)-1] and nonzero from m(j) to pdim.  For the last
+    strand m(d-1) = 2^d - d - 1.
     """
     if not 1 <= j <= d - 1:
         raise ValueError(f"need 1 <= j <= d-1, got j={j}, d={d}")
     if r < d:
         raise ValueError("strand windows for edgewise subdivision need r >= d")
     pdim = n_vertices - d
-    if j == d - 1:
-        start = (1 << d) - 1 - d
-        pieces = [
-            (0, j - 1, ZERO),
-            (j, start - 1, UNKNOWN),
-            (start, pdim, NONZERO),
-        ]
-        return StrandPrediction(j, _classify(pdim, pieces), "edgewise-last-strand")
-    if 2 * j <= d:
-        pieces = [(0, j - 1, ZERO), (j, pdim, NONZERO)]
-        return StrandPrediction(j, _classify(pdim, pieces), "edgewise-low-strand")
-    m = strand_start_closed(d, j)
-    pieces = [
-        (0, j - 1, ZERO),
-        (j, m - 1, UNKNOWN),
-        (m, pdim, NONZERO),
-    ]
-    return StrandPrediction(j, _classify(pdim, pieces), "edgewise-high-strand")
+    return _classify(j, [
+        (0, pdim, ZERO),
+        (j, pdim, UNKNOWN),
+        (strand_start_closed(d, j), pdim, NONZERO),
+    ])
 
 
 # -- t1 and regularity predictions ---------------------------------------------
@@ -221,7 +197,6 @@ def predict_t1_edgewise(c, r):
 class RegPrediction:
     value: int
     exact: bool
-    note: str = ""
 
 
 def predict_reg(c, field, mode):
@@ -244,7 +219,7 @@ def predict_reg(c, field, mode):
     if top or r >= d:
         return RegPrediction(w, True)
     base_reg = graded_betti_table(c, field).reg()
-    return RegPrediction(max(base_reg, r - 1), False, "lower bound only")
+    return RegPrediction(max(base_reg, r - 1), False)
 
 
 # -- induced-sphere families ----------------------------------------------------
@@ -352,7 +327,8 @@ def perturbation_cases(d):
 # -- prediction vs computation ----------------------------------------------------
 
 
-def verify_predictions(kind, d, r=None, field=GF2, vertex_gate=22, workers=1):
+def verify_predictions(kind, d, r=None, field=GF2,
+                       vertex_gate=DEFAULT_VERTEX_GATE, workers=1):
     """Compare the strand predictions with a fully computed Betti table.
 
     kind "bary" checks the subdivision of the (d-1)-simplex, kind
@@ -392,23 +368,13 @@ def verify_predictions(kind, d, r=None, field=GF2, vertex_gate=22, workers=1):
     for j, pred in predictions.items():
         for i, kind_i in pred.classification.items():
             value = table.entry(i, j)
-            if kind_i == ZERO:
-                if value != 0:
-                    report["violations"].append(
-                        {"what": "entry", "i": i, "j": j,
-                         "expected": "zero", "got": value})
-                else:
-                    report["agreements"] += 1
-            elif kind_i == NONZERO:
-                if value == 0:
-                    report["violations"].append(
-                        {"what": "entry", "i": i, "j": j,
-                         "expected": "nonzero", "got": 0})
-                else:
-                    report["agreements"] += 1
+            if kind_i == UNKNOWN:
+                report["observations"].append({"i": i, "j": j, "value": value})
+            elif (value != 0) == (kind_i == NONZERO):
+                report["agreements"] += 1
             else:
-                report["observations"].append(
-                    {"i": i, "j": j, "value": value})
+                report["violations"].append({"what": "entry", "i": i, "j": j,
+                                             "expected": kind_i, "got": value})
     report["ok"] = not report["violations"]
     return report
 

@@ -36,20 +36,20 @@ def _is_prime(p):
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Exact coefficient field: the rationals or GF(p)."""
+    """Exact coefficient field: GF(p) for a prime p, the rationals for
+    p == 0 (the characteristic)."""
 
-    kind: str  # "Q" or "GF"
-    p: int | None = None
+    p: int
 
     @classmethod
     def rationals(cls):
-        return cls("Q")
+        return cls(0)
 
     @classmethod
     def prime(cls, p):
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
-        return cls("GF", p)
+        return cls(p)
 
     @classmethod
     def parse(cls, text):
@@ -61,7 +61,7 @@ class FieldSpec:
         raise ValueError(f"cannot parse field {text!r}")
 
     def __str__(self):
-        return "Q" if self.kind == "Q" else f"GF({self.p})"
+        return f"GF({self.p})" if self.p else "Q"
 
 
 QQ = FieldSpec.rationals()
@@ -231,9 +231,7 @@ def boundary_rank(columns, rows, field):
             bits.append(v)
         return gf2_rank(bits)
     m = _dense(columns, rows)
-    if field.kind == "GF":
-        return gfp_rank(m, field.p)
-    return int_rank(m)
+    return gfp_rank(m, field.p) if field.p else int_rank(m)
 
 
 def rank_exact(mat):
@@ -274,7 +272,7 @@ def kernel_basis(mat):
     if not mat.cols:
         return []
     return nullspace(_dense(mat.columns, range(len(mat.rows))), len(mat.cols),
-                     mat.field.p if mat.field.kind == "GF" else 0)
+                     mat.field.p)
 
 
 @dataclass

@@ -86,6 +86,21 @@ def test_generate_standard(capsys):
     assert loads(out).f_vector() == (1, 5, 9, 6)
 
 
+@pytest.mark.parametrize("spec", [
+    "cycle(6",       # syntax error
+    "cycle(3.5)",    # non-integer arguments
+    "simplex(2.5)",
+    'cycle("6")',
+    "cycle(x=6)",    # keyword argument
+    "cycle()",       # the call fails
+    '"abc"',         # not a complex
+])
+def test_generate_standard_refuses_bad_spec(capsys, spec):
+    code, out, err = run(capsys, "generate", "standard", spec)
+    assert code == 2 and not out
+    assert err.count("\n") == 1 and spec in err
+
+
 def test_limits_lambda(capsys):
     code, out, _ = run(capsys, "limits", "lambda", "--d", "2")
     assert code == 0
@@ -183,6 +198,39 @@ def test_verify_edgewise_checks_every_d(capsys):
     names = [it["name"] for it in json.loads(out)["checks"]]
     assert names[0] == "edgewise strand windows d=3 r=3"
     assert "edgewise strand windows d=2 r=3" in names
+
+
+@pytest.mark.parametrize("suite, extra", [
+    ("thm-bar", ("--d", "2")),
+    ("edgewise", ("--d", "3", "--r", "4")),
+    ("gorenstein", ("--d", "3")),
+    ("depth-invariance", ()),
+])
+def test_verify_reports_name_their_field(capsys, suite, extra):
+    outs = {}
+    for text, name in (("q", "Q"), ("gf2", "GF(2)")):
+        code, outs[text], _ = run(capsys, "verify", suite, *extra, "--field", text)
+        assert code == 0
+        checks = json.loads(outs[text])["checks"]
+        assert checks and all(it["detail"]["field"] == name for it in checks)
+    assert outs["q"] != outs["gf2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "thm-bar", "--d", "1"),
+    ("verify", "edgewise", "--d", "0", "--r", "3"),
+    ("verify", "link", "--d", "1"),
+    ("verify", "gorenstein", "--d", "0"),
+    ("verify", "mj", "--dmax", "1"),
+    ("verify", "appendix", "--dmax", "2"),
+    ("betti", "{c6}", "--workers", "0"),
+    ("betti", "{c6}", "--workers", "-2"),
+    ("selftest", "--workers", "0"),
+])
+def test_empty_or_out_of_range_arguments_exit_2(capsys, c6_file, argv):
+    code, out, err = run(capsys, *(a.format(c6=c6_file) for a in argv))
+    assert code == 2 and not out
+    assert err.count("\n") == 1
 
 
 def test_verify_reg_honours_gate(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -9,8 +10,12 @@ from srbetti.complexes import (
     simplex_boundary,
     stacked_sphere,
 )
+from srbetti.asymptotics import asymptotic_window
 from srbetti.homology import GF2, QQ, reduced_betti
 from srbetti.formulas import (
+    NONZERO,
+    UNKNOWN,
+    ZERO,
     admissible_sequences,
     labels_to_vertices,
     perturbation_cases,
@@ -113,6 +118,109 @@ class TestPredictStrandEdgewise:
     def test_requires_r_at_least_d(self):
         with pytest.raises(ValueError):
             predict_strand_edgewise(3, 1, 2, 6)
+
+
+# -- three-branch window rules, kept as oracles for the duality rule -----------
+
+
+def _pieces_oracle(pdim, pieces):
+    cls = {}
+    for lo, hi, kind in pieces:
+        for i in range(max(lo, 0), min(hi, pdim) + 1):
+            cls[i] = kind
+    assert sorted(cls) == list(range(pdim + 1))
+    return cls
+
+
+def _bary_oracle(d, j):
+    pdim = (1 << d) - d - 1
+    if j == d - 1:
+        return _pieces_oracle(pdim, [(0, pdim, ZERO), (pdim, pdim, NONZERO)])
+    if 2 * j <= d:
+        upper_nz = (1 << d) - d - 1 - strand_start_closed(d, d - j - 1)
+        zero_from = (1 << d) - 2 * d + j + 1
+        return _pieces_oracle(pdim, [
+            (0, j - 1, ZERO),
+            (j, upper_nz, NONZERO),
+            (upper_nz + 1, zero_from - 1, UNKNOWN),
+            (zero_from, pdim, ZERO),
+        ])
+    m = strand_start_closed(d, j)
+    upper_nz = (1 << d) - 2 * d + j
+    return _pieces_oracle(pdim, [
+        (0, j - 1, ZERO),
+        (j, m - 1, UNKNOWN),
+        (m, upper_nz, NONZERO),
+        (upper_nz + 1, pdim, ZERO),
+    ])
+
+
+def _edgewise_oracle(d, j, n_vertices):
+    pdim = n_vertices - d
+    if j == d - 1:
+        start = (1 << d) - 1 - d
+        return _pieces_oracle(pdim, [
+            (0, j - 1, ZERO), (j, start - 1, UNKNOWN), (start, pdim, NONZERO)])
+    if 2 * j <= d:
+        return _pieces_oracle(pdim, [(0, j - 1, ZERO), (j, pdim, NONZERO)])
+    m = strand_start_closed(d, j)
+    return _pieces_oracle(pdim, [
+        (0, j - 1, ZERO), (j, m - 1, UNKNOWN), (m, pdim, NONZERO)])
+
+
+def _windows_oracle(rep):
+    d, pdim, depth, offset = rep["d"], rep["pdim"], rep["depth"], rep["offset"]
+    windows = {}
+    for j in range(1, d):
+        if j == d - 1:
+            lo = (1 << d) - d - 1
+            tail = (1 << d) - d - 1
+        elif 2 * j <= d:
+            lo = j
+            tail = (1 << d) - d - 1 - strand_start_closed(d, d - j - 1)
+        else:
+            lo = strand_start_closed(d, j)
+            tail = (1 << d) - 2 * d + j
+        if rep["mode"] == "bary":
+            hi = pdim + depth - offset + tail
+        else:
+            hi = comb(2 * d - 1, d - 1) - d + pdim + depth - offset
+        windows[j] = (lo, hi)
+    return windows
+
+
+class TestWindowsAgainstBranchOracle:
+    def test_bary_classifications(self):
+        for d in range(2, 13):
+            for j in range(1, d):
+                got = predict_strand_bary(d, j).classification
+                assert list(got.items()) == list(_bary_oracle(d, j).items()), (d, j)
+
+    def test_edgewise_classifications(self):
+        # r = d: the d-th edgewise subdivision has C(2d-1, d-1) vertices
+        for d in range(2, 9):
+            n = comb(2 * d - 1, d - 1)
+            for j in range(1, d):
+                got = predict_strand_edgewise(d, j, d, n).classification
+                assert list(got.items()) == list(_edgewise_oracle(d, j, n).items())
+
+    @pytest.mark.parametrize("mode", ["bary", "edge"])
+    def test_simplex_windows(self, mode):
+        for d in range(2, 7):
+            rep = asymptotic_window(simplex(d - 1), 3 if mode == "bary" else 2 * d,
+                                    mode)
+            assert rep["windows"] == _windows_oracle(rep), d
+
+    def test_bary_gorenstein_duality(self):
+        # beta_{i,i+j} = beta_{p-i,p-i+d-1-j}; strand 0 is beta_{0,0} alone
+        for d in range(2, 13):
+            p = (1 << d) - d - 1
+            kinds = {0: {i: ZERO for i in range(p + 1)} | {0: NONZERO}}
+            for j in range(1, d):
+                kinds[j] = predict_strand_bary(d, j).classification
+            for j in range(1, d):
+                for i in range(p + 1):
+                    assert kinds[j][i] == kinds[d - 1 - j][p - i], (d, i, j)
 
 
 class TestPredictT1:

@@ -46,6 +46,14 @@ class TestFieldSpec:
         with pytest.raises(ValueError):
             FieldSpec.parse("real")
 
+    def test_characteristic(self):
+        # one integer: the characteristic, 0 for the rationals
+        assert QQ.p == 0 and GF2.p == 2
+        assert (str(QQ), str(GF2), str(FieldSpec.parse("gf3"))) == ("Q", "GF(2)", "GF(3)")
+        for text in ("gf0", "gf1"):
+            with pytest.raises(ValueError):
+                FieldSpec.parse(text)
+
 
 class TestBoundaryMatrix:
     def test_edge(self):
