@@ -8,11 +8,11 @@ statements are checked by comparing exact rationals, never floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, factorial, lcm
+from typing import NamedTuple
 
 from .complexes import (
     GateError,
@@ -23,7 +23,7 @@ from .complexes import (
 )
 from .homology import (GF2, _eliminate, boundary_matrix, kernel_basis, nullspace,
                        top_homology_nonzero)
-from .formulas import predict_strand_bary
+from .formulas import predict_strand_bary, predict_strand_edgewise
 from .hochster import DEFAULT_VERTEX_GATE, graded_betti_table
 from .subdivision import barycentric_levels, edgewise
 
@@ -89,8 +89,7 @@ def _mat_inv(a):
     return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(m)]
 
 
-@dataclass
-class EigenData:
+class EigenData(NamedTuple):
     """Exact diagonalization of the subdivision transfer matrix."""
 
     d: int
@@ -158,19 +157,13 @@ def limit_polynomial_from_f(f):
     """Coefficients of the limit of the normalized f-polynomials.
 
     Returns (c_0, ..., c_d) pairing with (t^d, ..., t^0): the limit of
-    f-polynomial / (d!)^r under iterated subdivision, computed as
+    f-polynomial / (d!)^r under iterated subdivision, which is
     (f P) M P^{-1} with M the matrix whose only nonzero entry is a 1 in
-    the lower right corner.
+    the lower right corner.  The last column of P is e_{d+1}, so this is
+    f_{d-1} times the last row of P^{-1}.
     """
     f = tuple(f)
-    size = len(f)
-    eig = _eigendata(size - 1)
-    fp = [sum(Fraction(f[i]) * eig.p[i][j] for i in range(size))
-          for j in range(size)]
-    masked = [Fraction(0)] * size
-    masked[size - 1] = fp[size - 1]
-    return tuple(sum(masked[t] * eig.p_inv[t][j] for t in range(size))
-                 for j in range(size))
+    return tuple(f[-1] * x for x in _eigendata(len(f) - 1).p_inv_last_row)
 
 
 def limit_polynomial(c):
@@ -205,8 +198,7 @@ def edgewise_vertex_count(c, r):
 # -- minimal top cycles -----------------------------------------------------------
 
 
-@dataclass
-class MinimalCycle:
+class MinimalCycle(NamedTuple):
     """A top cycle whose induced support complex has the smallest f-vector
     in the order that compares indices from the top dimension downward."""
 
@@ -413,13 +405,13 @@ def asymptotic_window(c, r, mode, field=GF2, vertex_gate=DEFAULT_VERTEX_GATE,
                       workers=1):
     """Predicted nonzero windows per strand of the r-fold subdivision.
 
-    Strand j's window starts where `predict_strand_bary(d, j)` turns
-    nonzero.  For iterated barycentric subdivision (r >= 3) it ends at
-    pdim + depth - N + E, where N counts interior vertices of the 3-fold
-    subdivided simplex and E is where that prediction's nonzero stretch
-    ends; for edgewise subdivision (r >= 2d) the vertex count of the 2d-th
-    subdivision of the simplex is N, and the pdim of its d-th subdivision,
-    which every strand reaches, is E.
+    Strand j's window is (start, n_sub - N + end), where n_sub counts the
+    vertices and [start, end] is strand j's nonzero stretch for the
+    subdivided (d-1)-simplex.  For iterated barycentric subdivision
+    (r >= 3) that is `predict_strand_bary` and N counts interior vertices
+    of the 3-fold subdivided simplex; for edgewise subdivision (r >= 2d)
+    it is `predict_strand_edgewise` of the d-th subdivision and N is the
+    vertex count of the 2d-th one.
     """
     d = c.dim + 1
     base_table = graded_betti_table(c, field, vertex_gate=vertex_gate,
@@ -430,25 +422,23 @@ def asymptotic_window(c, r, mode, field=GF2, vertex_gate=DEFAULT_VERTEX_GATE,
             raise ValueError("barycentric windows need r >= 3")
         n_sub = f_iterate_sd(c.f_vector(), r)[1]
         offset = interior_vertex_count_after_3(d)
+        predictions = [predict_strand_bary(d, j) for j in range(1, d)]
     elif mode == "edge":
         if r < 2 * d:
             raise ValueError("edgewise windows need r >= 2d")
         n_sub = edgewise_vertex_count(c, r)
         offset = comb(3 * d - 1, d - 1)
+        predictions = [predict_strand_edgewise(d, j, d, comb(2 * d - 1, d - 1))
+                       for j in range(1, d)]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    pdim = n_sub - depth
-    windows = {}
-    for j in range(1, d):
-        nonzeros = predict_strand_bary(d, j).nonzeros
-        tail = nonzeros[-1] if mode == "bary" else comb(2 * d - 1, d - 1) - d
-        windows[j] = (nonzeros[0], pdim + depth - offset + tail)
+    windows = {p.j: (p.start, n_sub - offset + p.end) for p in predictions}
     return {
         "mode": mode,
         "r": r,
         "d": d,
         "n_sub": n_sub,
-        "pdim": pdim,
+        "pdim": n_sub - depth,
         "depth": depth,
         "offset": offset,
         "windows": windows,

@@ -51,7 +51,7 @@ def _default_workers():
 
 def _table_csv(table):
     rows = table.to_rows()
-    reg = len(rows[0]) - 1 if rows else 0
+    reg = len(rows[0]) - 1
     lines = ["i\\j," + ",".join(str(j) for j in range(reg + 1))]
     for i, row in enumerate(rows):
         lines.append(str(i) + "," + ",".join(str(v) for v in row))

@@ -145,13 +145,6 @@ class SimplicialComplex:
         self._enumerate_faces()
         return tuple(len(lv) for lv in self._faces_by_dim)
 
-    def support(self):
-        """Vertices that occur in some face."""
-        out = set()
-        for f in self.facets:
-            out.update(f)
-        return tuple(sorted(out))
-
     def vertex_by_label(self, label):
         if self.labels is None:
             raise ValueError("complex has no labels")

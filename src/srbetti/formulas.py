@@ -18,12 +18,13 @@ is nonzero from m(j), and reflecting the start of its dual strand d-1-j
 gives the end p - m(d-1-j).  The edgewise subdivision (r >= d) is
 Cohen-Macaulay, and each strand is nonzero from m(j) to its pdim; the last
 strand starts at m(d-1) = 2^d - d - 1.  `predict_strand_bary` and
-`predict_strand_edgewise` hold these rules; everything else reads them.
+`predict_strand_edgewise` hold these rules as the endpoints of each strand's
+windows (`StrandPrediction`); everything else reads them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complexes import GateError, simplex
 from .homology import GF2, top_homology_nonzero, reduced_betti
@@ -88,15 +89,25 @@ def admissible_sequences(d, j):
 # -- strand predictions -------------------------------------------------------
 
 
-@dataclass
-class StrandPrediction:
-    """Zero / nonzero / unknown classification of one strand."""
+class StrandPrediction(NamedTuple):
+    """Zero / nonzero / unknown classification of strand j over
+    0 <= i <= pdim, by its endpoints: zero outside [lo, hi], nonzero on
+    [start, end] and unknown on the rest of [lo, hi]."""
 
     j: int
-    classification: dict
+    pdim: int
+    lo: int
+    start: int
+    end: int
+    hi: int
+
+    def kind(self, i):
+        if not self.lo <= i <= self.hi:
+            return ZERO
+        return NONZERO if self.start <= i <= self.end else UNKNOWN
 
     def of(self, kind):
-        return sorted(i for i, v in self.classification.items() if v == kind)
+        return [i for i in range(self.pdim + 1) if self.kind(i) == kind]
 
     @property
     def zeros(self):
@@ -109,15 +120,6 @@ class StrandPrediction:
     @property
     def unknowns(self):
         return self.of(UNKNOWN)
-
-
-def _classify(j, pieces):
-    """Strand j from (lo, hi, kind) pieces with inclusive bounds: the first
-    piece spans 0..pdim and each later one overwrites its stretch."""
-    cls = {}
-    for lo, hi, kind in pieces:
-        cls.update(dict.fromkeys(range(lo, hi + 1), kind))
-    return StrandPrediction(j, cls)
 
 
 def predict_strand_bary(d, j):
@@ -135,13 +137,10 @@ def predict_strand_bary(d, j):
         raise ValueError(f"need 1 <= j <= d-1, got j={j}, d={d}")
     p = (1 << d) - d - 1
     if j == d - 1:
-        return _classify(j, [(0, p, ZERO), (p, p, NONZERO)])
+        return StrandPrediction(j, p, p, p, p, p)
     dual = d - 1 - j
-    return _classify(j, [
-        (0, p, ZERO),
-        (j, p - dual, UNKNOWN),
-        (strand_start_closed(d, j), p - strand_start_closed(d, dual), NONZERO),
-    ])
+    return StrandPrediction(j, p, j, strand_start_closed(d, j),
+                            p - strand_start_closed(d, dual), p - dual)
 
 
 def predict_strand_edgewise(d, j, r, n_vertices):
@@ -158,11 +157,7 @@ def predict_strand_edgewise(d, j, r, n_vertices):
     if r < d:
         raise ValueError("strand windows for edgewise subdivision need r >= d")
     pdim = n_vertices - d
-    return _classify(j, [
-        (0, pdim, ZERO),
-        (j, pdim, UNKNOWN),
-        (strand_start_closed(d, j), pdim, NONZERO),
-    ])
+    return StrandPrediction(j, pdim, j, strand_start_closed(d, j), pdim, pdim)
 
 
 # -- t1 and regularity predictions ---------------------------------------------
@@ -193,8 +188,7 @@ def predict_t1_edgewise(c, r):
     return t1 - 1
 
 
-@dataclass
-class RegPrediction:
+class RegPrediction(NamedTuple):
     value: int
     exact: bool
 
@@ -336,19 +330,20 @@ def verify_predictions(kind, d, r=None, field=GF2,
     must match the table (any mismatch is a violation); entries in
     unknown stretches are recorded as observations.
     """
+    if d < 2:
+        raise ValueError(f"strand predictions need d >= 2, got d={d}")
     if kind == "bary":
         sub = barycentric(simplex(d - 1))
-        predictions = {j: predict_strand_bary(d, j) for j in range(1, d)}
-        expected_pdim = (1 << d) - d - 1
+        predictions = [predict_strand_bary(d, j) for j in range(1, d)]
     elif kind == "edgewise":
         if r is None:
             raise ValueError("edgewise verification needs r")
         sub = edgewise(simplex(d - 1), r)
-        predictions = {j: predict_strand_edgewise(d, j, r, sub.n)
-                       for j in range(1, d)}
-        expected_pdim = sub.n - d
+        predictions = [predict_strand_edgewise(d, j, r, sub.n)
+                       for j in range(1, d)]
     else:
         raise ValueError(f"unknown kind {kind!r}")
+    expected_pdim = predictions[0].pdim
     table = graded_betti_table(sub, field, vertex_gate=vertex_gate, workers=workers)
     report = {
         "kind": kind,
@@ -365,8 +360,10 @@ def verify_predictions(kind, d, r=None, field=GF2,
     if table.pdim() != expected_pdim:
         report["violations"].append(
             {"what": "pdim", "expected": expected_pdim, "got": table.pdim()})
-    for j, pred in predictions.items():
-        for i, kind_i in pred.classification.items():
+    for pred in predictions:
+        j = pred.j
+        for i in range(pred.pdim + 1):
+            kind_i = pred.kind(i)
             value = table.entry(i, j)
             if kind_i == UNKNOWN:
                 report["observations"].append({"i": i, "j": j, "value": value})

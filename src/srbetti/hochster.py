@@ -36,8 +36,8 @@ worker count: under it, starting a pool costs more than it saves.
 
 from __future__ import annotations
 
+import os
 from array import array
-from dataclasses import dataclass, field as dataclass_field
 from typing import NamedTuple
 
 from .complexes import GateError, _adjacency
@@ -51,8 +51,7 @@ class VertexGateError(GateError):
     """Ambient vertex count too large for full subset enumeration."""
 
 
-@dataclass
-class StrandProfile:
+class StrandProfile(NamedTuple):
     """Endpoints and interior zeros of one strand of a Betti table."""
 
     j: int
@@ -65,8 +64,7 @@ class StrandProfile:
         return self.l is None
 
 
-@dataclass
-class BettiTable:
+class BettiTable(NamedTuple):
     """Map (homological index i, strand j) -> beta_{i,i+j}.
 
     Every table sums Hochster's formula over all vertex subsets, so an
@@ -76,7 +74,7 @@ class BettiTable:
 
     n: int
     field: FieldSpec
-    entries: dict = dataclass_field(default_factory=dict)
+    entries: dict
 
     def entry(self, i, j):
         return self.entries.get((i, j), 0)
@@ -314,15 +312,12 @@ def _accumulate(payload, lo, hi):
     return out
 
 
-def _worker(args):
-    return _accumulate(*args)
-
-
 def graded_betti_table(c, field=QQ, vertex_gate=DEFAULT_VERTEX_GATE, workers=1):
     """Complete graded Betti table of the Stanley-Reisner ring of c.
 
     Enumerates all 2^n vertex subsets; refuse above `vertex_gate`.  The
-    result is identical for every worker count and range partition.
+    result is identical for every worker count and range partition; at
+    most os.cpu_count() processes run the `workers` ranges.
     """
     if c.n > vertex_gate:
         raise VertexGateError(
@@ -341,8 +336,8 @@ def graded_betti_table(c, field=QQ, vertex_gate=DEFAULT_VERTEX_GATE, workers=1):
             chunks.append((payload, lo, min(lo + step, total)))
             lo += step
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers) as pool:
-            parts = pool.map(_worker, chunks)
+        with ctx.Pool(min(workers, os.cpu_count() or 1)) as pool:
+            parts = pool.starmap(_accumulate, chunks)
         entries = {}
         for part in parts:
             for key, val in part.items():

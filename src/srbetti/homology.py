@@ -19,8 +19,8 @@ GF(p) and every kernel basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
 def _is_prime(p):
@@ -34,8 +34,7 @@ def _is_prime(p):
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(NamedTuple):
     """Exact coefficient field: GF(p) for a prime p, the rationals for
     p == 0 (the characteristic)."""
 
@@ -47,6 +46,9 @@ class FieldSpec:
 
     @classmethod
     def prime(cls, p):
+        # the bound keeps the trial division in _is_prime under 46,341 steps
+        if p >= 1 << 31:
+            raise ValueError(f"GF({p}): the prime must be below 2^31")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         return cls(p)
@@ -56,7 +58,7 @@ class FieldSpec:
         t = text.strip().lower()
         if t in ("q", "qq", "rational", "rationals"):
             return cls.rationals()
-        if t.startswith("gf"):
+        if t.startswith("gf") and t[2:].isdecimal():
             return cls.prime(int(t[2:]))
         raise ValueError(f"cannot parse field {text!r}")
 
@@ -68,8 +70,7 @@ QQ = FieldSpec.rationals()
 GF2 = FieldSpec.prime(2)
 
 
-@dataclass
-class BoundaryMatrix:
+class BoundaryMatrix(NamedTuple):
     """Signed incidence matrix of the boundary map on k-faces.
 
     columns[c] is the tuple of row indices of the facets of face cols[c],
@@ -78,7 +79,6 @@ class BoundaryMatrix:
     row when k = 0.
     """
 
-    k: int
     rows: tuple
     cols: tuple
     columns: tuple
@@ -97,7 +97,7 @@ def boundary_matrix(c, k, field=QQ):
     row_index = {f: i for i, f in enumerate(rows)}
     columns = tuple(tuple(row_index[f[:i] + f[i + 1:]] for i in range(len(f)))
                     for f in cols)
-    return BoundaryMatrix(k, rows, cols, columns, field)
+    return BoundaryMatrix(rows, cols, columns, field)
 
 
 # -- exact rank --------------------------------------------------------------
@@ -275,8 +275,7 @@ def kernel_basis(mat):
                      mat.field.p)
 
 
-@dataclass
-class CycleVector:
+class CycleVector(NamedTuple):
     """A cycle in the top chain group, as face -> nonzero coefficient."""
 
     coefficients: dict

@@ -175,6 +175,17 @@ def test_malformed_complex_schema(capsys, tmp_path, blob, word):
     assert err.count("\n") == 1 and word in err
 
 
+@pytest.mark.parametrize("field, word", [
+    ("gf", "'gf'"),
+    ("gfx", "'gfx'"),
+    ("gf2147483659", "below 2^31"),   # a prime
+])
+def test_bad_field_exits_2_naming_it(capsys, c6_file, field, word):
+    code, out, err = run(capsys, "betti", c6_file, "--field", field)
+    assert code == 2 and not out
+    assert err.count("\n") == 1 and word in err
+
+
 def test_verify_link_checks_every_d(capsys):
     code, out, _ = run(capsys, "verify", "link", "--d", "3,4", "--r", "4")
     assert code == 0

@@ -96,7 +96,23 @@ class TestPredictStrandBary:
             pdim = 2 ** d - d - 1
             for j in range(1, d):
                 p = predict_strand_bary(d, j)
-                assert sorted(p.classification) == list(range(pdim + 1))
+                assert p.pdim == pdim
+                assert sorted(p.zeros + p.nonzeros + p.unknowns) == list(range(pdim + 1))
+
+    def test_endpoints_at_d20(self):
+        # p + 1 = 2^20 - 20 entries per strand, read off four endpoints
+        d = 20
+        p = (1 << d) - d - 1
+        for j in range(1, d):
+            pred = predict_strand_bary(d, j)
+            if j == d - 1:
+                expected = (p, p, p, p)
+            else:
+                dual = d - 1 - j
+                expected = (j, strand_start_closed(d, j),
+                            p - strand_start_closed(d, dual), p - dual)
+            assert (pred.j, pred.pdim) == (j, p)
+            assert (pred.lo, pred.start, pred.end, pred.hi) == expected, j
 
 
 class TestPredictStrandEdgewise:
@@ -193,16 +209,18 @@ class TestWindowsAgainstBranchOracle:
     def test_bary_classifications(self):
         for d in range(2, 13):
             for j in range(1, d):
-                got = predict_strand_bary(d, j).classification
-                assert list(got.items()) == list(_bary_oracle(d, j).items()), (d, j)
+                pred = predict_strand_bary(d, j)
+                got = {i: pred.kind(i) for i in range(pred.pdim + 1)}
+                assert got == _bary_oracle(d, j), (d, j)
 
     def test_edgewise_classifications(self):
         # r = d: the d-th edgewise subdivision has C(2d-1, d-1) vertices
         for d in range(2, 9):
             n = comb(2 * d - 1, d - 1)
             for j in range(1, d):
-                got = predict_strand_edgewise(d, j, d, n).classification
-                assert list(got.items()) == list(_edgewise_oracle(d, j, n).items())
+                pred = predict_strand_edgewise(d, j, d, n)
+                got = {i: pred.kind(i) for i in range(pred.pdim + 1)}
+                assert got == _edgewise_oracle(d, j, n)
 
     @pytest.mark.parametrize("mode", ["bary", "edge"])
     def test_simplex_windows(self, mode):
@@ -217,7 +235,8 @@ class TestWindowsAgainstBranchOracle:
             p = (1 << d) - d - 1
             kinds = {0: {i: ZERO for i in range(p + 1)} | {0: NONZERO}}
             for j in range(1, d):
-                kinds[j] = predict_strand_bary(d, j).classification
+                pred = predict_strand_bary(d, j)
+                kinds[j] = [pred.kind(i) for i in range(pred.pdim + 1)]
             for j in range(1, d):
                 for i in range(p + 1):
                     assert kinds[j][i] == kinds[d - 1 - j][p - i], (d, i, j)

@@ -1,5 +1,7 @@
 import contextlib
+import itertools
 import multiprocessing
+import os
 from types import SimpleNamespace
 from unittest import mock
 
@@ -99,6 +101,29 @@ class TestTable:
         t1 = graded_betti_table(c, GF2, workers=1)
         t3 = graded_betti_table(c, GF2, workers=3)
         assert t1.entries == t3.entries
+
+    @pytest.mark.parametrize("cpus, processes", [(3, 3), (None, 1)])
+    def test_pool_bounded_by_cpu_count(self, monkeypatch, cpus, processes):
+        # 8 ranges on fewer CPUs: the pool starts one process per CPU and
+        # the subsets still split into 8 ranges
+        monkeypatch.setattr(hochster, "POOL_MIN_SUBSETS", 1 << 8)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        asked, ranges = [], []
+
+        def starmap(fn, chunks):
+            ranges.append(len(chunks))
+            return list(itertools.starmap(fn, chunks))
+
+        def pool(size):
+            asked.append(size)
+            return contextlib.nullcontext(SimpleNamespace(starmap=starmap))
+
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method: SimpleNamespace(Pool=pool))
+        c = edgewise(simplex(2), 3)  # 2^10 subsets: the pool path
+        serial = graded_betti_table(c, GF2).entries
+        assert graded_betti_table(c, GF2, workers=8).entries == serial
+        assert asked == [processes] and ranges == [8]
 
     def test_fields_agree_on_torsion_free_fixtures(self, c6, sd_simplex3):
         # sd(simplex(3)) and edgewise(simplex(2), 4) embed in R^3, so by

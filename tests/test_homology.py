@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from srbetti import homology
 from srbetti.complexes import (
     from_facets,
     path,
@@ -53,6 +54,20 @@ class TestFieldSpec:
         for text in ("gf0", "gf1"):
             with pytest.raises(ValueError):
                 FieldSpec.parse(text)
+
+    def test_parse_names_a_bad_suffix(self):
+        for text in ("gf", "gfx"):
+            with pytest.raises(ValueError, match=repr(text)):
+                FieldSpec.parse(text)
+
+    def test_prime_below_2_31(self, monkeypatch):
+        # 2^31 - 1 takes at most 46,341 trial divisions
+        assert FieldSpec.parse("gf2147483647").p == 2147483647
+        # the next prime, 2147483659, and 2^61 - 1 are refused before any
+        monkeypatch.setattr(homology, "_is_prime", None)
+        for p in (2147483659, (1 << 61) - 1):
+            with pytest.raises(ValueError, match=r"below 2\^31"):
+                FieldSpec.parse(f"gf{p}")
 
 
 class TestBoundaryMatrix:
