@@ -7,31 +7,43 @@ vertex count is gated; above the gate only witness certificates are
 available.
 
 The subset loop visits W in increasing order and keeps a small id of the
-reduced homology of each induced subcomplex Delta_W.  If a vertex v of W
-is a ghost (in no face) or is dominated (its link in Delta_W is a cone),
-Delta_W strong-collapses onto Delta_{W-v} (Barmak and Minian, Strong
-homotopy types, nerves and collapses, 2012), so W copies the id of the
-smaller subset; only collapse-free subsets are ranked.  The homology of
-each W depends on W alone, and the table adds up (#W, homology) counts, so
-the result does not depend on how the subset range is split across
-workers: a worker only copies ids from its own range and ranks W when no
-collapse stays inside it.
+reduced homology of each induced subcomplex Delta_W.  For v in W, Delta_W
+is Delta_{W-v} glued to the star of v, a cone, along L, the link of v
+restricted to W.  If L has k components and no homology above degree 0,
+reduced Mayer-Vietoris gives H~_i(Delta_W) = H~_i(Delta_{W-v}) for i >= 2,
+b~_0(Delta_W) = c(W) - 1 and b~_1(Delta_W) = b~_1(Delta_{W-v}) + k - 1 -
+c(W-v) + c(W), with c counting components; this holds for empty L (k = 0)
+too.  When L is acyclic the step copies W - v's id; a cone L, where v is
+dominated and Delta_W strong-collapses onto Delta_{W-v} (Barmak and
+Minian, 2012), is one such case.  A ghost (in no face) always copies.
+Only W where every vertex link has higher homology is ranked.  The
+homology of each W depends on W alone, and the table adds up (#W,
+homology) counts, so the result does not depend on how the subset range
+is split across workers: a worker only steps from W - v inside its own
+range and ranks W when no step stays inside it.
 
-Whether v is dominated in Delta_W depends only on v and W & N(v), so each
-answer is looked up in a per-vertex table of 2^deg(v) bytes, indexed by
-W & N(v) packed to deg(v) bits, and computed once.  Tables go to the
+The class of L (acyclic, k components, or higher homology) depends only
+on v and W & N(v), so each answer is looked up in a per-vertex table of
+2^deg(v) bytes, indexed by W & N(v) packed to deg(v) bits, and computed
+once from the homology of lk(v) on those vertices.  Tables go to the
 vertices of least degree while all of them fit in 2^(n-1) bytes, an
-eighth of the 4*2^n-byte id array; every other vertex is tested each time.
-Packing the index costs 4*(2^floor(n/2) + 2^ceil(n/2)) more bytes per
-table, 16 KiB at n = 22.
+eighth of the 4*2^n-byte id array; every other vertex is classified each
+time.  Packing the index costs 4*(2^floor(n/2) + 2^ceil(n/2)) more bytes
+per table, 16 KiB at n = 22.  Hochster sums do not depend on labels, so
+the table labels the vertices by ascending degree: the loop tries the
+vertices with tables first and meets one without a table only when no
+lower vertex gives a step.
 
 A ranked W needs no rank for its edges: the rank of the edge boundary of a
 graph is #vertices - #components over every field, and the components
 come from a bitmask search over the neighbour masks.  Kernels rank only
 the boundaries of 2-faces and up.
 
-Tables below POOL_MIN_SUBSETS subsets run in one process whatever the
-worker count: under it, starting a pool costs more than it saves.
+The subsets split into one range per process, at most one process per
+CPU: every extra range would rebuild the tables and lose the steps across
+its lower edge.  Tables below POOL_MIN_SUBSETS subsets run in one process
+whatever the worker count: under it, starting a pool costs more than it
+saves.
 """
 
 from __future__ import annotations
@@ -40,7 +52,7 @@ import os
 from array import array
 from typing import NamedTuple
 
-from .complexes import GateError, _adjacency
+from .complexes import GateError, SimplicialComplex, _adjacency
 from .homology import FieldSpec, QQ, boundary_matrix, boundary_rank, reduced_betti
 
 DEFAULT_VERTEX_GATE = 22
@@ -99,12 +111,13 @@ class _Payload(NamedTuple):
 
     masks[k] holds the vertex masks of the k-faces and bnds[k] their
     boundary columns, `boundary_matrix(c, k).columns`: the indices of each
-    face's facets among the (k-1)-faces.  The rest is the domination test,
-    read off the minimal non-faces once: nbr[v] is the neighbour bitmask of
-    v, which also gives the components of Delta_W; non_nbr[u] the other
-    ends of the 2-element non-faces through u; rests[u] the masks M - u of
-    the larger non-faces M through u; face_masks the set of face masks; and
-    ghost the mask of ghost vertices (in no face).
+    face's facets among the (k-1)-faces.  nbr[v] is the neighbour bitmask
+    of v, which also gives the components of Delta_W, and ghost the mask of
+    ghost vertices (in no face).  links[v] is (masks, bnds, nbr) of
+    lk(v) on the same ambient ids, None for a ghost; its induced
+    subcomplex on W & N(v) is the link of v in Delta_W, whose class decides
+    the Mayer-Vietoris step.  `graded_betti_table` builds the payload
+    after labelling the vertices by ascending degree.
     """
 
     n: int
@@ -113,58 +126,49 @@ class _Payload(NamedTuple):
     field: FieldSpec
     nbr: tuple
     ghost: int
-    non_nbr: tuple
-    rests: tuple
-    face_masks: frozenset
+    links: tuple
+
+
+def _levels(c, field):
+    """(masks, bnds, nbr) of c: vertex masks and boundary columns of its
+    faces by dimension, and the neighbour mask of every ambient id."""
+    dims = c.dim + 1
+    masks = tuple(tuple(sum(1 << v for v in f) for f in c.faces_of_dim(k))
+                  for k in range(dims))
+    bnds = tuple(boundary_matrix(c, k, field).columns for k in range(dims))
+    return masks, bnds, tuple(_adjacency(c))
 
 
 def _payload(c, field):
     """The `_Payload` of c over field."""
-    n, dims = c.n, c.dim + 1
-    masks = tuple(tuple(sum(1 << v for v in f) for f in c.faces_of_dim(k))
-                  for k in range(dims))
-    bnds = tuple(boundary_matrix(c, k, field).columns for k in range(dims))
-    ghost = 0
-    non_nbr = [0] * n
-    rests = [[] for _ in range(n)]
-    for mnf in c.minimal_non_faces():
-        m = 0
-        for v in mnf:
-            m |= 1 << v
-        if len(mnf) == 1:
-            ghost |= m
-        elif len(mnf) == 2:
-            u, v = mnf
-            non_nbr[u] |= 1 << v
-            non_nbr[v] |= 1 << u
-        else:
-            for u in mnf:
-                rests[u].append(m ^ 1 << u)
-    face_masks = frozenset(m for level in masks for m in level)
-    return _Payload(n, masks, bnds, field, tuple(_adjacency(c)), ghost,
-                    tuple(non_nbr), tuple(map(tuple, rests)), face_masks)
+    n = c.n
+    masks, bnds, nbr = _levels(c, field)
+    live = sum(masks[0]) if masks else 0   # the vertices that lie in faces
+    ghost = ((1 << n) - 1) ^ live
+    # facets through v minus v are an antichain: the facets of lk(v)
+    links = tuple(
+        None if ghost >> v & 1 else
+        _levels(SimplicialComplex(n, [tuple(u for u in f if u != v)
+                                      for f in c.facets if v in f],
+                                  assume_reduced=True), field)
+        for v in range(n))
+    return _Payload(n, masks, bnds, field, nbr, ghost, links)
 
 
-def _dominated(b, nw, non_nbr, rests, face_masks):
-    """True if some u dominates the vertex v = bit b in Delta_W.
+_COPY, _HIGHER = 1, 2   # link classes; 3 + k: k components, nothing higher
 
-    nw is v's neighbourhood within W.  u dominates v when uv is a face and
-    no minimal non-face M through u has M - u inside W with (M - u) + v a
-    face; such an M - u lies in the closed neighbourhood nw + v.
-    """
-    closed = nw | b
-    while nw:
-        ub = nw & -nw
-        nw ^= ub
-        u = ub.bit_length() - 1
-        if non_nbr[u] & closed:
-            continue
-        for r in rests[u]:
-            if r & closed == r and r | b in face_masks:
-                break
-        else:
-            return True
-    return False
+
+def _link_class(nw, link, field):
+    """Class of the link L of v in Delta_W, given nw = W & N(v) and v's
+    `_Payload.links` entry: _COPY if L is acyclic, _HIGHER if it has
+    homology above degree 0, else 3 + its component count (0 when L is
+    empty)."""
+    betti = _induced_betti(nw, *link, field)
+    if len(betti) > 2:
+        return _HIGHER
+    b = betti + (0, 0)
+    comps = b[1] - b[0] + 1   # b_0 + 1, or 0 when L is empty
+    return _COPY if comps == 1 else 3 + comps
 
 
 def _packer(mask, width, shift):
@@ -180,17 +184,17 @@ def _packer(mask, width, shift):
     return t
 
 
-def _domination_tables(payload):
-    """Per vertex v, a lookup of whether v is a ghost or dominated in
-    Delta_W, and the bit count `half` that splits the index.
+def _link_tables(payload):
+    """Per vertex v, a lookup of the class of v's link in Delta_W, and the
+    bit count `half` that splits the index.
 
-    The answer depends only on v and W & N(v), so tables[v] is (known,
+    The class depends only on v and W & N(v), so tables[v] is (known,
     pack_low, pack_high): known is a bytearray indexed by W & N(v) packed
     to deg(v) bits, pack_low[x & (2^half - 1)] | pack_high[x >> half], and
-    holds 0 (unknown), 1 (yes) or 2 (no), filled by `_dominated` the first
-    time an index comes up.  A ghost's one entry is 1.  Vertices of least
-    degree get tables first while their 2^deg(v) bytes fit in 2^(n-1) in
-    all; tables[v] is None for every other vertex.
+    holds 0 until `_link_class` fills the entry the first time its index
+    comes up.  A ghost's one entry is _COPY.  Vertices of least degree get
+    tables first while their 2^deg(v) bytes fit in 2^(n-1) in all, so
+    every ghost has one; tables[v] is None for every other vertex.
     """
     n, nbr, ghost = payload.n, payload.nbr, payload.ghost
     half = n // 2
@@ -202,7 +206,7 @@ def _domination_tables(payload):
             break
         budget -= size
         nbr_low = nbr[v] & ((1 << half) - 1)
-        tables[v] = (bytearray([1]) if ghost >> v & 1 else bytearray(size),
+        tables[v] = (bytearray([_COPY]) if ghost >> v & 1 else bytearray(size),
                      _packer(nbr_low, half, 0),
                      _packer(nbr[v] >> half, n - half, nbr_low.bit_count()))
     return tables, half
@@ -259,16 +263,20 @@ def _accumulate(payload, lo, hi):
     """Table entries contributed by the subsets W in [lo, hi).
 
     W runs in increasing order and memo[W - lo] keeps the id of the
-    reduced homology of Delta_W.  If some v in W is a ghost or dominated,
-    Delta_W strong-collapses onto Delta_{W-v}, which has the same homology
-    and an id already in the memo when W - v >= lo; otherwise W is ranked.
+    reduced homology of Delta_W; W - v is below W, so its id is in the
+    memo when W - v >= lo.  The first v whose link class is _COPY gives W
+    that id.  Failing that, a second scan takes the first v whose link has
+    no higher homology and makes the Mayer-Vietoris step from W - v, with
+    the component count of W; only when neither exists is W ranked.
     """
-    n, masks, bnds, field, nbr, ghost, non_nbr, rests, face_masks = payload
-    tables, half = _domination_tables(payload)
+    n, masks, bnds, field, nbr, ghost, links = payload
+    tables, half = _link_tables(payload)
     low = (1 << half) - 1
     live = ((1 << n) - 1) & ~ghost
+    copy, higher = _COPY, _HIGHER   # locals: compared once per vertex
     memo = array("I", bytes(4 * (hi - lo)))
     ids = {}     # reduced Betti numbers -> id
+    bettis = []  # id -> reduced Betti numbers
     tally = []   # tally[id][#W]: subsets of each size with that homology
     for w in range(lo, hi):
         hid = -1
@@ -282,22 +290,54 @@ def _accumulate(payload, lo, hi):
             nw = nbr[v] & w
             entry = tables[v]
             if entry is None:
-                d = 1 if _dominated(b, nw, non_nbr, rests, face_masks) else 2
+                d = _link_class(nw, links[v], field)
             else:
                 known, pack_low, pack_high = entry
                 i = pack_low[nw & low] | pack_high[nw >> half]
                 d = known[i]
                 if not d:
-                    d = known[i] = (1 if _dominated(b, nw, non_nbr, rests, face_masks)
-                                    else 2)
-            if d == 1:
+                    d = known[i] = _link_class(nw, links[v], field)
+            if d == copy:
                 hid = memo[(w ^ b) - lo]
                 break
         if hid < 0:
-            betti = _induced_betti(w & live, masks, bnds, nbr, field)
+            # the first scan filled the table entry of every v this one
+            # reaches; a copy-free W is rare, so the hot scan stays short
+            step = 0
+            rest = w
+            while rest:
+                b = rest & -rest
+                if w ^ b < lo:
+                    break
+                rest ^= b
+                v = b.bit_length() - 1
+                nw = nbr[v] & w
+                entry = tables[v]
+                if entry is None:
+                    d = _link_class(nw, links[v], field)
+                else:
+                    known, pack_low, pack_high = entry
+                    d = known[pack_low[nw & low] | pack_high[nw >> half]]
+                if d != higher:
+                    step, k = b, d - 3
+                    break
+            if step:
+                # b~ (b_-1, b_0, b_1, ...) of W - v; b_0 - b_-1 + 1 counts
+                # its components, 0 for the empty complex
+                prev = bettis[memo[(w ^ step) - lo]] + (0, 0, 0)
+                comps = _components(w & live, nbr)
+                betti = [0, comps - 1,
+                         prev[2] + k - 1 - (prev[1] - prev[0] + 1) + comps,
+                         *prev[3:]]
+                while betti and not betti[-1]:
+                    betti.pop()
+                betti = tuple(betti)
+            else:
+                betti = _induced_betti(w & live, masks, bnds, nbr, field)
             hid = ids.get(betti)
             if hid is None:
                 hid = ids[betti] = len(tally)
+                bettis.append(betti)
                 tally.append([0] * (n + 1))
         memo[w - lo] = hid
         tally[hid][w.bit_count()] += 1
@@ -316,27 +356,36 @@ def graded_betti_table(c, field=QQ, vertex_gate=DEFAULT_VERTEX_GATE, workers=1):
     """Complete graded Betti table of the Stanley-Reisner ring of c.
 
     Enumerates all 2^n vertex subsets; refuse above `vertex_gate`.  The
-    result is identical for every worker count and range partition; at
-    most os.cpu_count() processes run the `workers` ranges.
+    subsets split into min(workers, os.cpu_count()) ranges, one process
+    each, and the result is identical for every worker count and range
+    partition.
     """
     if c.n > vertex_gate:
         raise VertexGateError(
             f"{c.n} vertices exceed the subset-enumeration gate {vertex_gate}")
-    payload = _payload(c, field)
+    # Hochster sums ignore labels: ascending degree puts the vertices with
+    # link tables in the low bits, which the loop tries first
+    deg = _adjacency(c)
+    label = {v: i for i, v in enumerate(sorted(range(c.n),
+                                               key=lambda v: deg[v].bit_count()))}
+    payload = _payload(SimplicialComplex(c.n, [tuple(label[v] for v in f)
+                                               for f in c.facets],
+                                         assume_reduced=True), field)
     total = 1 << c.n
-    if workers <= 1 or total < POOL_MIN_SUBSETS:
+    procs = min(workers, os.cpu_count() or 1)
+    if procs <= 1 or total < POOL_MIN_SUBSETS:
         entries = _accumulate(payload, 0, total)
     else:
         import multiprocessing
 
         chunks = []
-        step = (total + workers - 1) // workers
+        step = (total + procs - 1) // procs
         lo = 0
         while lo < total:
             chunks.append((payload, lo, min(lo + step, total)))
             lo += step
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(min(workers, os.cpu_count() or 1)) as pool:
+        with ctx.Pool(procs) as pool:
             parts = pool.starmap(_accumulate, chunks)
         entries = {}
         for part in parts:
@@ -400,7 +449,7 @@ def pdim_after_barycentric(table, c):
 
 
 def gorenstein_symmetry_check(table, d):
-    """Check beta_{i,i+j} = beta_{p-i, p+d-1-i-j+...}, i.e. the graded
+    """Check beta_{i,i+j} = beta_{p-i, p-i+d-1-j}, i.e. the graded
     Poincare duality with p = 2^d - d - 1 pairing strand j with strand
     d-1-j and homological index i with p-i."""
     p = (1 << d) - d - 1

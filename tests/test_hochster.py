@@ -14,6 +14,7 @@ from srbetti.complexes import (
     cycle,
     from_facets,
     path,
+    rp2_six,
     simplex,
     simplex_boundary,
     stacked_attach,
@@ -46,17 +47,20 @@ def naive_table(c, field):
     return entries
 
 
-def link_is_cone(c, w, v):
-    """Brute force: v in W is a ghost of Delta_W, or its link there is a
-    cone, i.e. some vertex u joins every face of the link."""
+def link_class(c, w, v, field):
+    """Brute force: the class `hochster._link_class` gives the link of v in
+    Delta_W, read off the reduced Betti numbers of that link built from
+    scratch; a ghost of Delta_W copies."""
     verts = [u for u in range(c.n) if w >> u & 1]
-    faces = c.induced(verts).face_set
+    sub = c.induced(verts)
     x = verts.index(v)
-    if (x,) not in faces:
-        return True
-    link = {f for f in faces if x not in f and tuple(sorted(f + (x,))) in faces}
-    return any(all(tuple(sorted(set(f) | {u})) in link for f in link)
-               for u in range(len(verts)) if u != x)
+    if (x,) not in sub.face_set:
+        return hochster._COPY
+    betti = reduced_betti(sub.link((x,)), field)
+    if any(b for deg, b in betti.items() if deg >= 1):
+        return hochster._HIGHER
+    comps = betti.get(0, 0) - betti[-1] + 1
+    return hochster._COPY if comps == 1 else 3 + comps
 
 
 def random_complexes(max_n=9):
@@ -97,6 +101,7 @@ class TestTable:
 
     def test_worker_partition_invariance(self, monkeypatch):
         monkeypatch.setattr(hochster, "POOL_MIN_SUBSETS", 1 << 8)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         c = edgewise(simplex(2), 3)  # 2^10 subsets: the pool path
         t1 = graded_betti_table(c, GF2, workers=1)
         t3 = graded_betti_table(c, GF2, workers=3)
@@ -104,8 +109,9 @@ class TestTable:
 
     @pytest.mark.parametrize("cpus, processes", [(3, 3), (None, 1)])
     def test_pool_bounded_by_cpu_count(self, monkeypatch, cpus, processes):
-        # 8 ranges on fewer CPUs: the pool starts one process per CPU and
-        # the subsets still split into 8 ranges
+        # 8 workers on fewer CPUs: one range per CPU, each in its own
+        # process; an unknown CPU count runs the table in this process,
+        # with no pool
         monkeypatch.setattr(hochster, "POOL_MIN_SUBSETS", 1 << 8)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         asked, ranges = [], []
@@ -123,7 +129,7 @@ class TestTable:
         c = edgewise(simplex(2), 3)  # 2^10 subsets: the pool path
         serial = graded_betti_table(c, GF2).entries
         assert graded_betti_table(c, GF2, workers=8).entries == serial
-        assert asked == [processes] and ranges == [8]
+        assert asked == ranges == ([processes] if processes > 1 else [])
 
     def test_fields_agree_on_torsion_free_fixtures(self, c6, sd_simplex3):
         # sd(simplex(3)) and edgewise(simplex(2), 4) embed in R^3, so by
@@ -136,16 +142,17 @@ class TestTable:
 
 
 class TestAgainstNaiveOracle:
-    """The collapse loop against the per-subset sum, at every worker count."""
+    """The subset loop against the per-subset sum, at every worker count."""
 
     @pytest.fixture(autouse=True, scope="class")
     def shared_pool(self):
         # tables of 2^8 subsets and more run workers 2 and 3 in a pool; one
         # fork pool of 3 serves every table, which still splits its subsets
-        # into 2 or 3 ranges and merges them
+        # into 2 or 3 ranges, as on 3 CPUs, and merges them
         with multiprocessing.get_context("fork").Pool(3) as pool, \
                 pytest.MonkeyPatch.context() as mp:
             mp.setattr(hochster, "POOL_MIN_SUBSETS", 1 << 8)
+            mp.setattr(os, "cpu_count", lambda: 3)
             shared = SimpleNamespace(
                 Pool=lambda workers: contextlib.nullcontext(pool))
             mp.setattr(multiprocessing, "get_context", lambda method: shared)
@@ -160,6 +167,14 @@ class TestAgainstNaiveOracle:
             assert graded_betti_table(c, field, workers=workers).entries == expected
         if field == GF2:
             assert koszul_betti_gf2(c) == expected
+
+    @given(random_complexes(), st.sampled_from([QQ, GF2, GF3]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_vertex_permutation_invariance(self, c, field, data):
+        perm = data.draw(st.permutations(range(c.n)))
+        moved = from_facets([[perm[v] for v in f] for f in c.facets], c.n)
+        assert (graded_betti_table(moved, field).entries
+                == graded_betti_table(c, field).entries)
 
     @pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
     def test_rp2(self, rp2, field):
@@ -184,17 +199,16 @@ class TestAgainstNaiveOracle:
                                             field)
                     == tuple(expected))
 
-    @given(random_complexes(8))
+    @given(random_complexes(8), st.sampled_from([QQ, GF2, GF3]))
     @settings(max_examples=40, deadline=None)
-    def test_domination_tables_against_links(self, c):
+    def test_link_classes_against_links(self, c, field):
         """After a full loop, every (W, v) read through v's table, or asked
-        of `_dominated` where v has none, against the link of v in
+        of `_link_class` where v has none, against the link of v in
         Delta_W; each table's index packs the subsets of N(v) one to one."""
-        payload = hochster._payload(c, GF2)
-        nbr, non_nbr = payload.nbr, payload.non_nbr
-        rests, face_masks = payload.rests, payload.face_masks
-        build, built = hochster._domination_tables, []
-        with mock.patch.object(hochster, "_domination_tables",
+        payload = hochster._payload(c, field)
+        nbr, links = payload.nbr, payload.links
+        build, built = hochster._link_tables, []
+        with mock.patch.object(hochster, "_link_tables",
                                lambda p: built.append(build(p)) or built[-1]):
             hochster._accumulate(payload, 0, 1 << c.n)
         (tables, half), = built
@@ -214,16 +228,56 @@ class TestAgainstNaiveOracle:
             for v in range(c.n):
                 if not w >> v & 1:
                     continue
-                b, nw = 1 << v, nbr[v] & w
+                nw = nbr[v] & w
                 if tables[v] is None:
-                    answer = hochster._dominated(b, nw, non_nbr, rests, face_masks)
+                    answer = hochster._link_class(nw, links[v], field)
                 else:
                     known, i = tables[v][0], index(v, nw)
                     if not known[i]:
-                        known[i] = 1 if hochster._dominated(
-                            b, nw, non_nbr, rests, face_masks) else 2
-                    answer = known[i] == 1
-                assert answer == link_is_cone(c, w, v)
+                        known[i] = hochster._link_class(nw, links[v], field)
+                    answer = known[i]
+                assert answer == link_class(c, w, v, field)
+
+    @given(random_complexes(7), st.sampled_from([QQ, GF2, GF3]))
+    @example(rp2_six(), GF2)
+    @example(rp2_six(), GF3)
+    @settings(max_examples=20, deadline=None)
+    def test_every_cut_point(self, c, field):
+        """Two ranges split at every k: W below k copies or steps only from
+        its own range, and the upper range ranks what it cannot reach."""
+        payload = hochster._payload(c, field)
+        expected, total = naive_table(c, field), 1 << c.n
+        for k in range(total + 1):
+            merged = hochster._accumulate(payload, 0, k)
+            for key, val in hochster._accumulate(payload, k, total).items():
+                merged[key] = merged.get(key, 0) + val
+            assert {key: v for key, v in merged.items() if v} == expected
+
+    @pytest.mark.parametrize("build, ranked", [
+        (lambda: simplex_boundary(3), "empty and full"),
+        (rp2_six, "empty and full"),
+        (lambda: barycentric(simplex_boundary(3)), "empty and full"),
+        (lambda: cycle(6), "empty"),
+    ], ids=["boundary3", "rp2", "sd_boundary3", "cycle6"])
+    @pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=str)
+    def test_closed_manifolds_rank_only_the_ends(self, build, ranked, field,
+                                                 monkeypatch):
+        """Every proper subset of these complexes copies or takes a
+        Mayer-Vietoris step; the loop ranks only W = {} and, where a vertex
+        link has higher homology, the whole vertex set."""
+        c = build()
+        payload = hochster._payload(c, field)
+        induced, seen = hochster._induced_betti, []
+
+        def record(w, masks, *rest):
+            if masks is payload.masks:
+                seen.append(w)
+            return induced(w, masks, *rest)
+
+        monkeypatch.setattr(hochster, "_induced_betti", record)
+        hochster._accumulate(payload, 0, 1 << c.n)
+        full = (1 << c.n) - 1
+        assert seen == ([0, full] if ranked == "empty and full" else [0])
 
     @pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=str)
     def test_one_dimensional_complex_needs_no_rank(self, field, monkeypatch):
