@@ -46,7 +46,9 @@ def sd_transfer_matrix(d):
     from i+1 points onto j+1 (Brenti and Welker).  Row -1 is the unit
     vector for the empty face.
     """
-    if not 1 <= d <= LAMBDA_GATE:
+    if d < 1:
+        raise ValueError(f"transfer matrix needs 1 <= d <= {LAMBDA_GATE}, got d={d}")
+    if d > LAMBDA_GATE:
         raise GateError(f"transfer matrix gated at d <= {LAMBDA_GATE}")
     return tuple(tuple(sum((-1) ** t * comb(k, t) * (k - t) ** n
                            for t in range(k + 1))

@@ -6,10 +6,11 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from math import factorial
 
-from . import asymptotics, complexes, formulas, hochster, subdivision
+# asymptotics, formulas and fractions load in the handlers that use them,
+# so a `betti` run does not pay for importing them
+from . import complexes, hochster, subdivision
 from .complexes import GateError
 from .homology import QQ, GF2, FieldSpec
 
@@ -98,9 +99,8 @@ def cmd_subdivide(args):
 
 def cmd_betti(args):
     c = _read_complex(args.complex)
-    field = FieldSpec.parse(args.field)
     table = hochster.graded_betti_table(
-        c, field, vertex_gate=args.gate, workers=args.workers)
+        c, args.field, vertex_gate=args.gate, workers=args.workers)
     text = _table_json(table) if args.format == "json" else _table_csv(table)
     _emit(text, args.output)
     return EXIT_OK
@@ -108,9 +108,8 @@ def cmd_betti(args):
 
 def cmd_strands(args):
     c = _read_complex(args.complex)
-    field = FieldSpec.parse(args.field)
     table = hochster.graded_betti_table(
-        c, field, vertex_gate=args.gate, workers=args.workers)
+        c, args.field, vertex_gate=args.gate, workers=args.workers)
     inv = hochster.ring_invariants(table, c)
     strands = {}
     for j in range(table.reg() + 1):
@@ -124,6 +123,8 @@ def cmd_strands(args):
 
 def cmd_generate(args):
     if args.what == "limit-example":
+        from . import asymptotics
+
         c = asymptotics.limit_ratio_example(args.d, args.p, args.q, args.scale)
     else:
         c = complexes.standard_complex(args.spec)
@@ -132,6 +133,8 @@ def cmd_generate(args):
 
 
 def cmd_limits(args):
+    from . import asymptotics
+
     if args.what == "lambda":
         mat = asymptotics.sd_transfer_matrix(args.d)
         eig = asymptotics.eigendecompose(mat)
@@ -147,8 +150,7 @@ def cmd_limits(args):
         out = {"coefficients_desc_powers": [str(x) for x in coeffs]}
     else:  # ratio
         c = _read_complex(args.complex)
-        field = FieldSpec.parse(args.field)
-        out = {"ratio": str(asymptotics.last_strand_limit(c, field))}
+        out = {"ratio": str(asymptotics.last_strand_limit(c, args.field))}
     _emit(json.dumps(out, sort_keys=True) + "\n", args.output)
     return EXIT_OK
 
@@ -168,6 +170,8 @@ def _observe(name, detail):
 
 
 def _suite_mj(args):
+    from . import formulas
+
     items = []
     for d in range(2, args.dmax + 1):
         ok = all(
@@ -182,10 +186,11 @@ def _suite_mj(args):
 def _suite_windows(args, kind, name):
     """One check of `verify_predictions` per --d, plus one observation per
     entry the theorem leaves open; each names its field."""
+    from . import formulas
+
     items = []
-    field = FieldSpec.parse(args.field)
     for d in args.dims:
-        rep = formulas.verify_predictions(kind, d, r=args.r, field=field,
+        rep = formulas.verify_predictions(kind, d, r=args.r, field=args.field,
                                           vertex_gate=args.gate,
                                           workers=args.workers)
         items.append(_check(name.format(d=d, r=args.r), rep["ok"],
@@ -208,14 +213,13 @@ def _suite_edgewise(args):
 
 def _suite_gorenstein(args):
     items = []
-    field = FieldSpec.parse(args.field)
     for d in args.dims:
         sub = subdivision.barycentric(complexes.simplex(d - 1))
-        table = hochster.graded_betti_table(sub, field, vertex_gate=args.gate,
+        table = hochster.graded_betti_table(sub, args.field, vertex_gate=args.gate,
                                             workers=args.workers)
         ok = hochster.gorenstein_symmetry_check(table, d)
         items.append(_check(f"duality of subdivided simplex table d={d}", ok,
-                            {"field": str(field)}))
+                            {"field": str(args.field)}))
     return items
 
 
@@ -235,6 +239,8 @@ def _suite_link(args):
 
 
 def _suite_reg(args):
+    from . import formulas
+
     fixtures = [
         ("edge", complexes.simplex(1)),
         ("triangle-boundary", complexes.simplex_boundary(2)),
@@ -270,7 +276,7 @@ def _suite_depth(args):
         ("cycle-plus-pendants", complexes.stacked_attach(complexes.cycle(3), 2)),
     ]
     items = []
-    field = FieldSpec.parse(args.field)
+    field = args.field
     for name, base in fixtures:
         t0 = hochster.graded_betti_table(base, field, vertex_gate=args.gate,
                                          workers=args.workers)
@@ -292,6 +298,8 @@ def _suite_depth(args):
 
 
 def _suite_appendix(args):
+    from . import formulas
+
     items = []
     for d in range(3, args.dmax + 1):
         cases = formulas.perturbation_cases(d)
@@ -302,6 +310,10 @@ def _suite_appendix(args):
 
 
 def _suite_last_strand(args):
+    from fractions import Fraction
+
+    from . import asymptotics
+
     items = []
     for d in (2, 3, 4):
         ratio = asymptotics.last_strand_limit(complexes.simplex_boundary(d))
@@ -321,6 +333,8 @@ def _suite_last_strand(args):
 
 
 def _suite_limits(args):
+    from . import asymptotics
+
     items = []
     for d in range(1, 5):
         mat = asymptotics.sd_transfer_matrix(d)
@@ -387,7 +401,7 @@ def cmd_selftest(args):
                 print(f"corrupt fixture {name}: {exc}", file=sys.stderr)
                 return EXIT_CONFIG
     ns = argparse.Namespace(
-        dmax=10, dims=[3], field="gf2", gate=_default_gate(),
+        dmax=10, dims=[3], field=GF2, gate=_default_gate(),
         workers=args.workers, r=3, output=None,
     )
     failures = 0
@@ -502,6 +516,8 @@ def main(argv=None):
             raise ValueError(f"workers must be at least 1, got {args.workers}")
         if any(d < 2 for d in getattr(args, "dims", ())):
             raise ValueError(f"--d values must be at least 2, got {args.dims}")
+        if hasattr(args, "field"):
+            args.field = FieldSpec.parse(args.field)
         return args.fn(args)
     except GateError as exc:
         print(f"gate: {exc}", file=sys.stderr)

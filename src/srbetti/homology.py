@@ -19,7 +19,6 @@ GF(p) and every kernel basis.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 
@@ -187,6 +186,8 @@ def nullspace(rows, nc, p=0):
     GF(p): one vector per free column of the reduced echelon form, 1 in
     that column and 0 in the other free columns.  Entries are Fractions
     over Q and integers in 0..p-1 over GF(p)."""
+    from fractions import Fraction   # only here: keeps it off the CLI's imports
+
     m = [[x % p for x in r] for r in rows] if p else [list(r) for r in rows]
     pivots = _eliminate(m, p, True)
     basis = []

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import srbetti
 from srbetti import cli, hochster
 from srbetti.complexes import cycle, dumps, loads, simplex
 from srbetti.subdivision import edgewise
@@ -175,15 +179,45 @@ def test_malformed_complex_schema(capsys, tmp_path, blob, word):
     assert err.count("\n") == 1 and word in err
 
 
-@pytest.mark.parametrize("field, word", [
-    ("gf", "'gf'"),
-    ("gfx", "'gfx'"),
-    ("gf2147483659", "below 2^31"),   # a prime
-])
-def test_bad_field_exits_2_naming_it(capsys, c6_file, field, word):
-    code, out, err = run(capsys, "betti", c6_file, "--field", field)
+_FIELD_COMMANDS = [("betti", "{c6}"), ("strands", "{c6}"), ("limits", "ratio", "{c6}"),
+                   *(("verify", suite) for suite in cli._SUITES)]
+_BAD_FIELDS = [("gf", "'gf'"), ("gfx", "'gfx'"),
+               ("gf2147483659", "below 2^31")]   # a prime
+
+
+@pytest.mark.parametrize("command, field, word", [
+    pytest.param(command, field, word, id="-".join(
+        [a for a in command if a not in ("betti", "{c6}")] + [field, word]))
+    for command in _FIELD_COMMANDS for field, word in _BAD_FIELDS])
+def test_bad_field_exits_2_naming_it(capsys, c6_file, command, field, word):
+    # every suite takes --field, and main parses it before any suite runs
+    argv = [a.format(c6=c6_file) for a in command]
+    code, out, err = run(capsys, *argv, "--field", field)
     assert code == 2 and not out
     assert err.count("\n") == 1 and word in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("limits", "lambda", "--d", "0"),
+    ("limits", "polynomial", "{empty}"),   # no nonempty face: d = 0
+])
+def test_transfer_matrix_below_d_1_names_the_range(capsys, tmp_path, argv):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"n": 2, "facets": []}))
+    code, out, err = run(capsys, *(a.format(empty=empty) for a in argv))
+    assert code == 2 and not out
+    assert err.startswith("error:") and "1 <= d <= 8" in err and "gate" not in err
+
+
+def test_import_leaves_the_verify_modules_unloaded():
+    code = ("import sys, srbetti.cli; print(sorted({'fractions', "
+            "'srbetti.asymptotics', 'srbetti.formulas'} & set(sys.modules)))")
+    src = os.path.dirname(os.path.dirname(srbetti.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_verify_link_checks_every_d(capsys):

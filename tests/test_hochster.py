@@ -100,18 +100,19 @@ class TestTable:
             graded_betti_table(c6, QQ, vertex_gate=5)
 
     def test_worker_partition_invariance(self, monkeypatch):
+        # on 4 CPUs, workers 2 and 3 cut 2 ranges and workers 4 cuts 4
         monkeypatch.setattr(hochster, "POOL_MIN_SUBSETS", 1 << 8)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         c = edgewise(simplex(2), 3)  # 2^10 subsets: the pool path
         t1 = graded_betti_table(c, GF2, workers=1)
-        t3 = graded_betti_table(c, GF2, workers=3)
-        assert t1.entries == t3.entries
+        for workers in (2, 3, 4):
+            assert graded_betti_table(c, GF2, workers=workers).entries == t1.entries
 
-    @pytest.mark.parametrize("cpus, processes", [(3, 3), (None, 1)])
+    @pytest.mark.parametrize("cpus, processes", [(3, 2), (None, 1)])
     def test_pool_bounded_by_cpu_count(self, monkeypatch, cpus, processes):
-        # 8 workers on fewer CPUs: one range per CPU, each in its own
-        # process; an unknown CPU count runs the table in this process,
-        # with no pool
+        # 8 workers on fewer CPUs: the largest power of two of ranges that
+        # the CPUs can run, each in its own process; an unknown CPU count
+        # runs the table in this process, with no pool
         monkeypatch.setattr(hochster, "POOL_MIN_SUBSETS", 1 << 8)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         asked, ranges = [], []
@@ -147,9 +148,9 @@ class TestAgainstNaiveOracle:
     @pytest.fixture(autouse=True, scope="class")
     def shared_pool(self):
         # tables of 2^8 subsets and more run workers 2 and 3 in a pool; one
-        # fork pool of 3 serves every table, which still splits its subsets
-        # into 2 or 3 ranges, as on 3 CPUs, and merges them
-        with multiprocessing.get_context("fork").Pool(3) as pool, \
+        # fork pool of 2 serves every table, which still cuts its subsets
+        # into 2 aligned ranges, as on 3 CPUs, and merges them
+        with multiprocessing.get_context("fork").Pool(2) as pool, \
                 pytest.MonkeyPatch.context() as mp:
             mp.setattr(hochster, "POOL_MIN_SUBSETS", 1 << 8)
             mp.setattr(os, "cpu_count", lambda: 3)
@@ -242,15 +243,20 @@ class TestAgainstNaiveOracle:
     @example(rp2_six(), GF2)
     @example(rp2_six(), GF3)
     @settings(max_examples=20, deadline=None)
-    def test_every_cut_point(self, c, field):
-        """Two ranges split at every k: W below k copies or steps only from
-        its own range, and the upper range ranks what it cannot reach."""
+    def test_every_aligned_split(self, c, field):
+        """2^t aligned ranges for every t: W copies or steps only from its
+        own range, and each range ranks its first subset and what it
+        cannot reach.  Slices of 2 positions cut every larger vertex block
+        into several slice copies."""
         payload = hochster._payload(c, field)
         expected, total = naive_table(c, field), 1 << c.n
-        for k in range(total + 1):
-            merged = hochster._accumulate(payload, 0, k)
-            for key, val in hochster._accumulate(payload, k, total).items():
-                merged[key] = merged.get(key, 0) + val
+        for t, slice_bits in itertools.product(range(c.n + 1), (16, 1)):
+            merged, size = {}, total >> t
+            with mock.patch.object(hochster, "_SLICE_BITS", slice_bits):
+                for lo in range(0, total, size):
+                    part = hochster._accumulate(payload, lo, lo + size)
+                    for key, val in part.items():
+                        merged[key] = merged.get(key, 0) + val
             assert {key: v for key, v in merged.items() if v} == expected
 
     @pytest.mark.parametrize("build, ranked", [
