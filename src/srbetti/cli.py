@@ -424,39 +424,36 @@ def _add_common(sp):
     sp.add_argument("-o", "--output", default=None)
 
 
-def build_parser():
-    ap = argparse.ArgumentParser(
-        prog="srbetti",
-        description="Subdivisions of simplicial complexes and graded Betti "
-                    "numbers of their Stanley-Reisner rings, exactly.")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("info", help="basic invariants of a complex")
+def _info_args(p):
     p.add_argument("complex")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn=cmd_info)
 
-    p = sub.add_parser("subdivide", help="barycentric or edgewise subdivision")
+
+def _subdivide_args(p):
     p.add_argument("complex")
     p.add_argument("--mode", choices=["bary", "edgewise"], default="bary")
     p.add_argument("--r", type=int, default=1)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn=cmd_subdivide)
 
-    p = sub.add_parser("betti", help="full graded Betti table")
+
+def _betti_args(p):
     p.add_argument("complex")
     p.add_argument("--field", default="q")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     _add_common(p)
     p.set_defaults(fn=cmd_betti)
 
-    p = sub.add_parser("strands", help="strand profiles and ring invariants")
+
+def _strands_args(p):
     p.add_argument("complex")
     p.add_argument("--field", default="q")
     _add_common(p)
     p.set_defaults(fn=cmd_strands)
 
-    p = sub.add_parser("generate", help="named example complexes")
+
+def _generate_args(p):
     gsub = p.add_subparsers(dest="what", required=True)
     g = gsub.add_parser("limit-example")
     g.add_argument("--d", type=int, required=True)
@@ -470,7 +467,8 @@ def build_parser():
     g.add_argument("-o", "--output", default=None)
     g.set_defaults(fn=cmd_generate)
 
-    p = sub.add_parser("limits", help="transfer matrix, limit polynomial, ratios")
+
+def _limits_args(p):
     lsub = p.add_subparsers(dest="what", required=True)
     l = lsub.add_parser("lambda")
     l.add_argument("--d", type=int, required=True)
@@ -486,7 +484,8 @@ def build_parser():
     l.add_argument("-o", "--output", default=None)
     l.set_defaults(fn=cmd_limits)
 
-    p = sub.add_parser("verify", help="verification suites")
+
+def _verify_args(p):
     p.add_argument("suite", choices=sorted(_SUITES))
     p.add_argument("--dmax", type=int, default=16)
     p.add_argument("--d", type=lambda s: [int(x) for x in s.split(",")],
@@ -496,16 +495,56 @@ def build_parser():
     _add_common(p)
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("selftest", help="fast end-to-end check")
+
+def _selftest_args(p):
     p.add_argument("--fixtures", default=None)
     p.add_argument("--workers", type=int, default=None)
     p.set_defaults(fn=cmd_selftest)
 
+
+# command -> (help line, adds its arguments), in the order --help lists them
+_COMMANDS = {
+    "info": ("basic invariants of a complex", _info_args),
+    "subdivide": ("barycentric or edgewise subdivision", _subdivide_args),
+    "betti": ("full graded Betti table", _betti_args),
+    "strands": ("strand profiles and ring invariants", _strands_args),
+    "generate": ("named example complexes", _generate_args),
+    "limits": ("transfer matrix, limit polynomial, ratios", _limits_args),
+    "verify": ("verification suites", _verify_args),
+    "selftest": ("fast end-to-end check", _selftest_args),
+}
+
+
+def build_parser(argv=None):
+    """The srbetti argument parser.
+
+    When argv[0] names a command, only that command's parser is built; it
+    parses argv, prints help and reports errors exactly as the full parser
+    does.  Otherwise (no argv, no command, --help or an unknown command)
+    every command's parser is built.
+    """
+    ap = argparse.ArgumentParser(
+        prog="srbetti",
+        description="Subdivisions of simplicial complexes and graded Betti "
+                    "numbers of their Stanley-Reisner rings, exactly.")
+    names = list(_COMMANDS)
+    if argv and argv[0] in _COMMANDS:
+        names = [argv[0]]
+    # one command: its metavar keeps the usage line that errors print the
+    # same; it cannot reach the errors that name the command argument
+    sub = ap.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None)
+    for name in names:
+        text, add_args = _COMMANDS[name]
+        add_args(sub.add_parser(name, help=text))
     return ap
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         # settings are read here, so a bad value exits 2 like bad input
         env = {"gate": _default_gate(), "workers": _default_workers()}

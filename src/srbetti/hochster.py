@@ -15,8 +15,12 @@ b~_1(Delta_W) = b~_1(Delta_{W-v}) + k - 1 - c(W-v) + c(W), with c counting
 components; this holds for empty L (k = 0) too.  When L is acyclic the
 step copies W - v's id; a cone L, where v is dominated and Delta_W
 strong-collapses onto Delta_{W-v} (Barmak and Minian, 2012), is one such
-case.  A ghost (in no face) always copies.  Only W where every vertex link
-has higher homology is ranked.
+case.  A ghost (in no face) always copies.  Two more steps need no
+component count, so they depend only on W - v's homology and on L's
+class, over every field: if v has no neighbour in W (k = 0), c(W) =
+c(W-v) + 1; if k >= 2 and Delta_{W-v} is nonempty and connected, c(W) = 1
+and b~_1 grows by k - 1.  Only W where every vertex link has higher
+homology is ranked.
 
 The loop visits W in lowest-vertex-major order.  The W whose lowest vertex
 is v form a block, and the blocks run from the top vertex down, so every
@@ -24,11 +28,15 @@ W - v lies in a finished block, and W - u, for a higher u in W, earlier in
 the same block.  The class of v's link depends only on the bits of W at
 v's neighbours above v, so each block classifies those few patterns (265
 over all vertices of sd(Delta^3)) and copies W - v's id into every W whose
-link of v is acyclic with one strided array slice, at C speed.  Only the
-rest, 13% of the subsets of sd(Delta^3) and 17-19% of random complexes,
-run through Python: they copy from another vertex whose class is known,
-step on v, or classify the other vertices.  Each slice of a block then
-counts its (homology, #W) pairs in one pass.
+link of v is acyclic with one strided array slice, at C speed.  The rest,
+13% of the subsets of sd(Delta^3) and 17-19% of random complexes, look up
+the step on v in a map keyed by (W - v's id, v's link class) and filled
+once per key.  Only the steps that need a component count, 7% of the
+subsets of sd(Delta^3) and 0.1-0.9% of random complexes, run through
+Python: they copy from another vertex whose class is known, step on v
+with a component search, or classify the other vertices.  The (homology,
+#W) tally of a block is that of the finished blocks, each W - v counted
+once more with v added, corrected at the W the block rewrote.
 
 The class of L (acyclic, k components, or higher homology) depends only
 on v and W & N(v), so each answer is looked up in a per-vertex table of
@@ -65,9 +73,7 @@ from __future__ import annotations
 
 import os
 from array import array
-from collections import Counter
 from itertools import compress
-from operator import add
 from typing import NamedTuple
 
 from .complexes import GateError, SimplicialComplex, _adjacency
@@ -291,9 +297,40 @@ def _spread(vals, mask, width):
 
 
 _SLICE_BITS = 16   # a slice copies at most 2^16 positions: bounds each transient
-_ID_SHIFT = _SLICE_BITS.bit_length()   # memo holds id << 5: room for #x <= 16
+# memo holds id << 8: the low byte takes a link class (a byte) in a step
+# map key, or #(W - lo) in a tally key
+_ID_SHIFT = 8
 _NOT_COPY = bytes(d != _COPY for d in range(256))
-_PLUS_ONE = bytes(range(1, 256)) + b"\0"
+_ISOLATED = 3   # the class of v's link when v has no neighbour in W
+_SEARCH = -1    # step map: this step needs a component search or a rank
+
+
+def _mv_betti(prev, d, comps):
+    """Reduced Betti numbers of Delta_W by the Mayer-Vietoris step on v,
+    from prev = (b_-1, b_0, ...) of Delta_{W-v}, the class d = 3 + k of
+    v's link and the number c(W) of components of Delta_W."""
+    prev += (0, 0, 0)
+    # b_0 - b_-1 + 1 counts the components of Delta_{W-v}, 0 when empty
+    betti = [0, comps - 1, prev[2] + d - 4 - (prev[1] - prev[0] + 1) + comps,
+             *prev[3:]]
+    while betti and not betti[-1]:
+        betti.pop()
+    return tuple(betti)
+
+
+def _step_without_search(prev, d):
+    """Reduced Betti numbers of Delta_W when the step on v needs no
+    component count, from prev of Delta_{W-v} and v's link class d, else
+    None: an isolated v adds a component, and a link of k >= 2
+    components joins them into one when Delta_{W-v} is nonempty and
+    connected."""
+    b = prev + (0, 0)
+    comps = b[1] - b[0] + 1   # c(W - v)
+    if d == _ISOLATED:
+        return _mv_betti(prev, d, comps + 1)
+    if d >= _ISOLATED + 2 and comps == 1:
+        return _mv_betti(prev, d, 1)
+    return None
 
 
 def _accumulate(payload, lo, hi):
@@ -309,23 +346,34 @@ def _accumulate(payload, lo, hi):
     earlier in the block.  Each slice of a block classifies the link of v
     once per pattern of W at v's higher neighbours, copies the id of each
     W - v to W in one slice assignment, and rewrites the W whose link of v
-    is not acyclic: such a W copies from a higher u whose class is already
-    known, else makes the Mayer-Vietoris step on v, else classifies the
-    other vertices for a copy or a step, and is ranked only when every
-    vertex link has higher homology.  The slice then tallies its (id, #W)
-    pairs in one pass.
+    is not acyclic.  Such a W first looks up the step map, keyed by
+    memo[W - v] + the class: its entry, made once per key, is W's id when
+    the step on v needs no component search (`_step_without_search`), and
+    _SEARCH otherwise.  Only a _SEARCH subset, under 1% of the subsets of
+    the random complexes and of edgewise(Delta^2, 4), runs `search_step`:
+    it copies from a higher u whose class is already known, else makes the
+    Mayer-Vietoris step on v, else classifies the other vertices for a
+    copy or a step, and is ranked only when every vertex link has higher
+    homology.
+
+    The tally counts (id, #(W - lo)) pairs over the finished blocks.  A
+    block counts them again one vertex larger, as its slice copies do, and
+    each rewritten W moves its count from W - v's id to its own; then the
+    block joins the tally.  The tally costs a pass over the rewritten W,
+    not over every W.
     """
     n, masks, bnds, field, nbr, ghost, links = payload
     tables, half = _link_tables(payload)
     low = (1 << half) - 1
     live = ((1 << n) - 1) & ~ghost
-    copy, higher = _COPY, _HIGHER   # locals: compared once per vertex
     shift = _ID_SHIFT
+    part = (1 << shift) - 1
     m = (hi - lo).bit_length() - 1
     memo = array("I", bytes(4 << m))
     ids = {}     # reduced Betti numbers -> id << shift
     bettis = []  # id -> reduced Betti numbers
-    tally = Counter()   # (id << shift, #W) -> subsets
+    steps = {}   # memo[W - v] + class of v's link -> id << shift of W, or _SEARCH
+    step_id = steps.get
 
     def classify(v, nw):
         entry = tables[v]
@@ -345,11 +393,41 @@ def _accumulate(payload, lo, hi):
             bettis.append(betti)
         return hid
 
+    def search_step(h, d):
+        """The id of W = lo | h, a block-v subset whose step on v needs a
+        component search or a rank; d is the class of v's link."""
+        w, bv = lo | h, h & -h
+        rest = h ^ bv
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            u = b.bit_length() - 1
+            entry = tables[u]
+            if entry is not None:
+                known, pack_low, pack_high = entry
+                nw = nbr[u] & w
+                if known[pack_low[nw & low] | pack_high[nw >> half]] == _COPY:
+                    return memo[h ^ b]
+        mv = bv   # the step vertex; d its link class
+        if d == _HIGHER:
+            mv, rest = 0, h ^ bv
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                u = b.bit_length() - 1
+                du = classify(u, nbr[u] & w)
+                if du == _COPY:
+                    return memo[h ^ b]
+                if du != _HIGHER and not mv:
+                    mv, d = b, du
+        if mv:
+            return key(_mv_betti(bettis[memo[h ^ mv] >> shift], d,
+                                 _components(w & live, nbr)))
+        return key(_induced_betti(w & live, masks, bnds, nbr, field))
+
     memo[0] = key(_induced_betti(lo & live, masks, bnds, nbr, field))
-    tally[memo[0], lo.bit_count()] += 1
-    pop = b"\0"   # pop[x] = #x for x in the largest slice; map stops at a slice's end
-    for _ in range(min(m - 1, _SLICE_BITS)):
-        pop += pop.translate(_PLUS_ONE)
+    # id << shift | #(W - lo) -> subsets, over every W whose block is done
+    tally = {memo[0]: 1}
     for v in range(m - 1, -1, -1):
         bv, step = 1 << v, 2 << v
         width = m - 1 - v   # the block is W = lo + bv + x * step, x < 2^width
@@ -359,6 +437,10 @@ def _accumulate(payload, lo, hi):
         while s:
             subs.append(s)
             s = (s - up) & up
+        # the block as copied: each W - v counted again, one vertex larger;
+        # each rewritten W then moves its count from W - v's id to its own
+        block = {k + 1: count for k, count in tally.items()}
+        count_of = block.get
         for first in range(0, step << width, step << bits):
             base = lo | first | bv   # the slice's first W
             fixed = base & nbr[v]
@@ -366,60 +448,30 @@ def _accumulate(payload, lo, hi):
             cls = _spread(bytes(classify(v, fixed | s << (v + 1)) for s in subs),
                           up, bits)
             stop = first + (step << bits)
-            memo[first + bv:stop:step] = memo[first:stop:step]
+            prev = memo[first:stop:step]   # the id of each W - v
+            memo[first + bv:stop:step] = prev
             for x in compress(range(1 << bits), cls.translate(_NOT_COPY)):
                 h = first + bv + x * step
-                w = lo | h
-                hid = -1
-                rest = h ^ bv
-                while rest:
-                    b = rest & -rest
-                    rest ^= b
-                    u = b.bit_length() - 1
-                    entry = tables[u]
-                    if entry is not None:
-                        known, pack_low, pack_high = entry
-                        nw = nbr[u] & w
-                        if known[pack_low[nw & low] | pack_high[nw >> half]] == copy:
-                            hid = memo[h ^ b]
-                            break
-                if hid < 0:
-                    mv, d = bv, cls[x]   # the step vertex and its link class
-                    if d == higher:
-                        mv, rest = 0, h ^ bv
-                        while rest:
-                            b = rest & -rest
-                            rest ^= b
-                            u = b.bit_length() - 1
-                            du = classify(u, nbr[u] & w)
-                            if du == copy:
-                                hid = memo[h ^ b]
-                                break
-                            if du != higher and not mv:
-                                mv, d = b, du
-                if hid >= 0:
-                    memo[h] = hid
-                elif mv:
-                    # b~ (b_-1, b_0, b_1, ...) of W - mv; b_0 - b_-1 + 1
-                    # counts its components, 0 for the empty complex; the
-                    # link has d - 3 components
-                    prev = bettis[memo[h ^ mv] >> shift] + (0, 0, 0)
-                    comps = _components(w & live, nbr)
-                    betti = [0, comps - 1,
-                             prev[2] + d - 4 - (prev[1] - prev[0] + 1) + comps,
-                             *prev[3:]]
-                    while betti and not betti[-1]:
-                        betti.pop()
-                    memo[h] = key(tuple(betti))
-                else:
-                    memo[h] = key(_induced_betti(w & live, masks, bnds, nbr, field))
-            size, part = base.bit_count(), (1 << shift) - 1
-            for k, count in Counter(map(add, memo[first + bv:stop:step], pop)).items():
-                tally[k & ~part, size + (k & part)] += count
+                old = prev[x]
+                k = old + cls[x]
+                hid = step_id(k)
+                if hid is None:
+                    betti = _step_without_search(bettis[k >> shift], k & part)
+                    hid = steps[k] = _SEARCH if betti is None else key(betti)
+                if hid == _SEARCH:
+                    hid = search_step(h, k & part)
+                memo[h] = hid
+                size = h.bit_count()
+                block[old | size] -= 1
+                block[hid | size] = count_of(hid | size, 0) + 1
+        for k, count in block.items():
+            if count:
+                tally[k] = tally.get(k, 0) + count
     out = {}
-    for (hid, size), count in tally.items():
+    for k, count in tally.items():
         # H~_{j-1}(Delta_W) adds to beta_{#W-j, #W}
-        for j, b in enumerate(bettis[hid >> shift]):
+        size = lo.bit_count() + (k & part)
+        for j, b in enumerate(bettis[k >> shift]):
             if b:
                 out[(size - j, j)] = out.get((size - j, j), 0) + count * b
     return out

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -322,3 +324,72 @@ def test_selftest_corrupt_fixture_dir(capsys, tmp_path):
 def test_selftest_missing_fixture_dir(capsys, tmp_path):
     code, _, _ = run(capsys, "selftest", "--fixtures", str(tmp_path / "nope"))
     assert code == 2
+
+
+def parse(parser, argv):
+    """(exit code or None, stdout, stderr, namespace) of parser on argv."""
+    out, err = io.StringIO(), io.StringIO()
+    code = args = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), args
+
+
+def commands(parser):
+    """The commands a parser was built with."""
+    return list(parser._subparsers._group_actions[0].choices)
+
+
+# every command and nested command with arguments it accepts
+VALID_ARGV = [
+    ["info", "c.json"],
+    ["subdivide", "c.json", "--mode", "edgewise", "--r", "2"],
+    ["betti", "c.json", "--field", "gf2", "--format", "json", "--workers", "2"],
+    ["strands", "c.json", "--gate", "9"],
+    ["generate", "limit-example", "--d", "2", "--p", "1", "--q", "2", "--scale", "1"],
+    ["generate", "standard", "cycle(6)"],
+    ["limits", "lambda", "--d", "3"],
+    ["limits", "polynomial", "c.json"],
+    ["limits", "ratio", "c.json", "--field", "q"],
+    ["verify", "thm-bar", "--d", "3,4", "--r", "2"],
+    ["selftest", "--workers", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", VALID_ARGV, ids=" ".join)
+def test_one_command_parser_acts_as_the_full_parser(argv):
+    """The parser built for argv's command alone parses argv, prints the
+    command's help and reports bad arguments exactly as the full one."""
+    full, alone = cli.build_parser(), cli.build_parser(argv)
+    assert commands(full) == list(cli._COMMANDS)
+    assert commands(alone) == argv[:1]
+    nested = argv[:2] if argv[0] in ("generate", "limits") else argv[:1]
+    for case in (argv, nested + ["--help"], argv[:1] + ["--help"],
+                 argv + ["--bogus"], nested + ["--bogus"],
+                 argv[:1] + ["no-such-command"]):
+        assert parse(alone, case) == parse(full, case)
+    code, _, _, args = parse(alone, argv)
+    assert code is None and args.command == argv[0]
+
+
+def test_every_command_has_a_parser_case():
+    assert {argv[0] for argv in VALID_ARGV} == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"], ["-h", "betti"]],
+                         ids=repr)
+def test_no_command_builds_every_command(argv):
+    assert commands(cli.build_parser(argv)) == list(cli._COMMANDS)
+
+
+def test_unknown_command_exits_2_listing_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'bogus'" in err
+    for name in cli._COMMANDS:
+        assert f"'{name}'" in err

@@ -63,6 +63,16 @@ def link_class(c, w, v, field):
     return hochster._COPY if comps == 1 else 3 + comps
 
 
+def induced_betti(c, w, field):
+    """(b_-1, b_0, ...) of the subcomplex induced on the set w, trailing
+    zeros dropped, from the complex built from scratch."""
+    betti = reduced_betti(c.induced([v for v in range(c.n) if w >> v & 1]), field)
+    out = [betti[k] for k in range(-1, max(betti) + 1)]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
 def random_complexes(max_n=9):
     """Complexes on up to max_n ambient vertices; facets of up to four
     vertices give non-flag complexes, and ids in no facet are ghosts."""
@@ -191,14 +201,9 @@ class TestAgainstNaiveOracle:
         stripped from W as the loop strips them."""
         p = hochster._payload(c, field)
         for w in range(1 << c.n):
-            betti = reduced_betti(c.induced([v for v in range(c.n) if w >> v & 1]),
-                                  field)
-            expected = [betti[k] for k in range(-1, max(betti) + 1)]
-            while expected and not expected[-1]:
-                expected.pop()
             assert (hochster._induced_betti(w & ~p.ghost, p.masks, p.bnds, p.nbr,
                                             field)
-                    == tuple(expected))
+                    == induced_betti(c, w, field))
 
     @given(random_complexes(8), st.sampled_from([QQ, GF2, GF3]))
     @settings(max_examples=40, deadline=None)
@@ -306,6 +311,90 @@ class TestAgainstNaiveOracle:
         monkeypatch.setattr(homology, "gf2_rank", lambda cols: calls.append(1) or rank(cols))
         graded_betti_table(sd_simplex3, GF2)
         assert 0 < len(calls) < (1 << sd_simplex3.n) // 100
+
+
+class TestStepMap:
+    """The Mayer-Vietoris steps the loop takes by lookup, without a
+    component search."""
+
+    @given(random_complexes(8), st.sampled_from([QQ, GF2, GF3]))
+    @example(from_facets([(0, 1), (1, 2), (2, 3, 4)], 6), QQ)
+    @settings(max_examples=40, deadline=None)
+    def test_answers_against_induced_complexes(self, c, field):
+        """For every W and every v in W whose link is not acyclic, an
+        answer from W - v's homology and v's link class is the homology of
+        Delta_W."""
+        betti = [induced_betti(c, w, field) for w in range(1 << c.n)]
+        for w in range(1, 1 << c.n):
+            for v in range(c.n):
+                if w >> v & 1:
+                    d = link_class(c, w, v, field)
+                    if d != hochster._COPY:
+                        answer = hochster._step_without_search(betti[w ^ 1 << v], d)
+                        assert answer in (None, betti[w])
+
+    @pytest.mark.parametrize("prev, d, answer", [
+        ((1,), hochster._ISOLATED, ()),   # W = {v}: a point
+        ((0, 1), hochster._ISOLATED, (0, 2)),   # a third component
+        ((), 3 + 2, (0, 0, 1)),   # two link points on a path close a cycle
+        ((0, 0, 1), 3 + 3, (0, 0, 3)),
+        ((0, 1), 3 + 2, None),   # W - v disconnected: needs the search
+        ((), hochster._HIGHER, None),
+        ((1,), hochster._HIGHER, None),
+    ])
+    def test_examples(self, prev, d, answer):
+        assert hochster._step_without_search(prev, d) == answer
+
+    def test_disconnected_rest_needs_the_search(self):
+        # the path 0 - 1 - 2: without 1, W = {0, 1, 2} is two points
+        c = path(3)
+        w, v = 0b111, 1
+        d = link_class(c, w, v, QQ)
+        assert d == 3 + 2
+        assert hochster._step_without_search(induced_betti(c, w ^ 1 << v, QQ), d) is None
+
+    def test_each_key_is_filled_once(self, monkeypatch):
+        """The map answers each (W - v's homology, class) once per range,
+        however many subsets share it."""
+        c = edgewise(simplex(2), 3)
+        payload, calls = hochster._payload(c, GF2), []
+        fill = hochster._step_without_search
+        monkeypatch.setattr(hochster, "_step_without_search",
+                            lambda prev, d: calls.append((prev, d)) or fill(prev, d))
+        hochster._accumulate(payload, 0, 1 << c.n)
+        assert calls and len(calls) == len(set(calls))
+
+    @pytest.mark.parametrize("build", [lambda: simplex_boundary(3), rp2_six],
+                             ids=["boundary3", "rp2"])
+    @pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=str)
+    def test_component_search_runs_only_to_rank(self, build, field, monkeypatch):
+        """Every induced subcomplex of these is connected, so no step needs
+        a component search: components are counted only inside a ranked
+        W or a link being classified."""
+        c = build()
+        payload = hochster._payload(c, field)
+        induced, components = hochster._induced_betti, hochster._components
+        inside, ranked, stray = [], [], []
+
+        def rank(w, masks, *rest):
+            inside.append(masks is payload.masks)
+            try:
+                return induced(w, masks, *rest)
+            finally:
+                inside.pop()
+
+        def search(w, nbr):
+            if not inside:
+                stray.append(w)
+            elif inside[-1]:
+                ranked.append(w)
+            return components(w, nbr)
+
+        monkeypatch.setattr(hochster, "_induced_betti", rank)
+        monkeypatch.setattr(hochster, "_components", search)
+        hochster._accumulate(payload, 0, 1 << c.n)
+        assert stray == []
+        assert ranked == [(1 << c.n) - 1]
 
 
 class TestAgainstKoszulOracle:
