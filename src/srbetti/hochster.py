@@ -39,18 +39,13 @@ with a component search, or classify the other vertices.  The (homology,
 once more with v added, corrected at the W the block rewrote.
 
 The class of L (acyclic, k components, or higher homology) depends only
-on v and W & N(v), so each answer is looked up in a per-vertex table of
-2^deg(v) bytes, indexed by W & N(v) packed to deg(v) bits, and computed
-once from the homology of lk(v) on those vertices.  Tables go to the
-vertices of least degree while all of them fit in 2^(n-1) bytes, an
-eighth of the 4*2^n-byte id array; every other vertex is classified each
-time.  Packing the index costs 4*(2^floor(n/2) + 2^ceil(n/2)) more bytes
-per table, 16 KiB at n = 22.  Hochster sums do not depend on labels, so
-the table labels the vertices by ascending degree: a vertex then has few
-neighbours above it, so its block needs few classes, and the vertices
-with tables sit low, where they are the higher u of many W.  A block is
-copied in slices of at most 2^16 subsets, so no transient buffer outgrows
-a slice.
+on v and W & N(v), so each vertex memoizes it in a dict keyed by W & N(v),
+computed once from the homology of lk(v) on those vertices: a whole table
+asks for a few hundred classes (187 on sd^2(Delta^2), 353 on sd(Delta^3)).
+Hochster sums do not depend on labels, so the table labels the vertices by
+ascending degree: a vertex then has few neighbours above it, so its block
+needs few classes.  A block is copied in slices of at most 2^16 subsets,
+so no transient buffer outgrows a slice.
 
 A ranked W needs no rank for its edges: the rank of the edge boundary of a
 graph is #vertices - #components over every field, and the components
@@ -61,10 +56,10 @@ The homology of each W depends on W alone, and the table adds up (#W,
 homology) counts, so the result does not depend on how the subsets are
 split across workers.  The subsets split into 2^t aligned ranges lo +
 [0, 2^m), 2^t the largest power of two at most the worker count and the
-CPU count, one process each: every extra range would rebuild the tables
-and lose the steps across its edge.  A range varies only the vertices
-below m; it steps only from W - v inside itself, so it ranks its first
-subset W = lo outright.  Tables below POOL_MIN_SUBSETS subsets run in one
+CPU count, one process each: every extra range would classify its links
+afresh and lose the steps across its edge.  A range varies only the
+vertices below m; it steps only from W - v inside itself, so it ranks its
+first subset W = lo outright.  Tables below POOL_MIN_SUBSETS subsets run in one
 process whatever the worker count: under it, starting a pool costs more
 than it saves.
 """
@@ -140,8 +135,9 @@ class _Payload(NamedTuple):
     ghost vertices (in no face).  links[v] is (masks, bnds, nbr) of
     lk(v) on the same ambient ids, None for a ghost; its induced
     subcomplex on W & N(v) is the link of v in Delta_W, whose class decides
-    the Mayer-Vietoris step.  `graded_betti_table` builds the payload
-    after labelling the vertices by ascending degree.
+    the Mayer-Vietoris step; the loop computes it once per W & N(v).
+    `graded_betti_table` builds the payload after labelling the vertices
+    by ascending degree, so that each has few neighbours above it.
     """
 
     n: int
@@ -195,47 +191,6 @@ def _link_class(nw, link, field):
     return _COPY if comps == 1 else 3 + comps
 
 
-def _packer(mask, width, shift):
-    """t[x] for x < 2^width: the bits of x at the set bits of mask, packed
-    into consecutive bits from `shift` up."""
-    t = array("I", [0])
-    for j in range(width):
-        if mask >> j & 1:
-            t.extend(x | 1 << shift for x in t.tolist())
-            shift += 1
-        else:
-            t.extend(t)
-    return t
-
-
-def _link_tables(payload):
-    """Per vertex v, a lookup of the class of v's link in Delta_W, and the
-    bit count `half` that splits the index.
-
-    The class depends only on v and W & N(v), so tables[v] is (known,
-    pack_low, pack_high): known is a bytearray indexed by W & N(v) packed
-    to deg(v) bits, pack_low[x & (2^half - 1)] | pack_high[x >> half], and
-    holds 0 until `_link_class` fills the entry the first time its index
-    comes up.  A ghost's one entry is _COPY.  Vertices of least degree get
-    tables first while their 2^deg(v) bytes fit in 2^(n-1) in all, so
-    every ghost has one; tables[v] is None for every other vertex.
-    """
-    n, nbr, ghost = payload.n, payload.nbr, payload.ghost
-    half = n // 2
-    budget = (1 << n) >> 1
-    tables = [None] * n
-    for v in sorted(range(n), key=lambda v: nbr[v].bit_count()):
-        size = 1 << nbr[v].bit_count()
-        if size > budget:
-            break
-        budget -= size
-        nbr_low = nbr[v] & ((1 << half) - 1)
-        tables[v] = (bytearray([_COPY]) if ghost >> v & 1 else bytearray(size),
-                     _packer(nbr_low, half, 0),
-                     _packer(nbr[v] >> half, n - half, nbr_low.bit_count()))
-    return tables, half
-
-
 def _components(w, nbr):
     """Number of connected components of the graph nbr induces on w."""
     count = 0
@@ -285,8 +240,8 @@ def _induced_betti(w, masks, bnds, nbr, field):
 
 def _spread(vals, mask, width):
     """bytes r with r[x] = vals[i] for x < 2^width, i the bits of x at the
-    set bits of mask packed into consecutive bits (the index `_packer`
-    gives); vals has one byte per subset of those bits."""
+    set bits of mask packed into consecutive bits; vals has one byte per
+    subset of those bits, in increasing order."""
     parts = [vals[i:i + 1] for i in range(len(vals))]
     for j in range(width):
         if mask >> j & 1:
@@ -363,8 +318,8 @@ def _accumulate(payload, lo, hi):
     not over every W.
     """
     n, masks, bnds, field, nbr, ghost, links = payload
-    tables, half = _link_tables(payload)
-    low = (1 << half) - 1
+    # known[v]: W & N(v) -> class of v's link, filled once per pattern
+    known = [{0: _COPY} if ghost >> v & 1 else {} for v in range(n)]
     live = ((1 << n) - 1) & ~ghost
     shift = _ID_SHIFT
     part = (1 << shift) - 1
@@ -376,14 +331,9 @@ def _accumulate(payload, lo, hi):
     step_id = steps.get
 
     def classify(v, nw):
-        entry = tables[v]
-        if entry is None:
-            return _link_class(nw, links[v], field)
-        known, pack_low, pack_high = entry
-        i = pack_low[nw & low] | pack_high[nw >> half]
-        d = known[i]
-        if not d:
-            d = known[i] = _link_class(nw, links[v], field)
+        d = known[v].get(nw)
+        if d is None:
+            d = known[v][nw] = _link_class(nw, links[v], field)
         return d
 
     def key(betti):
@@ -402,12 +352,8 @@ def _accumulate(payload, lo, hi):
             b = rest & -rest
             rest ^= b
             u = b.bit_length() - 1
-            entry = tables[u]
-            if entry is not None:
-                known, pack_low, pack_high = entry
-                nw = nbr[u] & w
-                if known[pack_low[nw & low] | pack_high[nw >> half]] == _COPY:
-                    return memo[h ^ b]
+            if known[u].get(nbr[u] & w) == _COPY:
+                return memo[h ^ b]
         mv = bv   # the step vertex; d its link class
         if d == _HIGHER:
             mv, rest = 0, h ^ bv
@@ -488,8 +434,8 @@ def graded_betti_table(c, field=QQ, vertex_gate=DEFAULT_VERTEX_GATE, workers=1):
     if c.n > vertex_gate:
         raise VertexGateError(
             f"{c.n} vertices exceed the subset-enumeration gate {vertex_gate}")
-    # Hochster sums ignore labels: ascending degree puts the vertices with
-    # link tables in the low bits, which the loop tries first
+    # Hochster sums ignore labels: ascending degree leaves each vertex few
+    # neighbours above it, so its block classifies few link patterns
     deg = _adjacency(c)
     label = {v: i for i, v in enumerate(sorted(range(c.n),
                                                key=lambda v: deg[v].bit_count()))}

@@ -130,10 +130,14 @@ def edgewise(c, r):
     labels are the composition tuples.  Facets are assembled per facet of
     c from the cached subdivision of a simplex, which is valid because the
     pairwise condition restricted to a fixed support reduces to the same
-    condition on the restricted coordinates.
+    condition on the restricted coordinates.  Each facet g of c becomes
+    r^(|g|-1) facets; above FACE_GATE in all, GateError is raised before
+    anything is built.
     """
     if r < 1:
         raise ValueError("edgewise subdivision needs r >= 1")
+    if sum(r ** (len(g) - 1) for g in c.facets if g) > FACE_GATE:
+        raise GateError("edgewise subdivision exceeds the face gate")
     n = c.n
     verts = set()
     for k in range(c.dim + 1):

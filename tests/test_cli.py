@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import srbetti
-from srbetti import cli, hochster
+from srbetti import cli, hochster, subdivision
 from srbetti.complexes import cycle, dumps, loads, simplex
 from srbetti.subdivision import edgewise
 
@@ -76,6 +76,21 @@ def test_subdivide_round_trip(capsys, c6_file, tmp_path):
     assert sub.f_vector() == (1, 12, 12)
     assert sub.labels is not None and all(sum(lab) == 2 for lab in sub.labels)
     assert dumps(loads(dumps(sub))) == dumps(sub)
+
+
+def test_subdivide_edgewise_gate(capsys, tmp_path, monkeypatch):
+    # a tetrahedron at r = 300 has 300^3 = 27M facets: refused before any
+    # vertex or facet is built
+    def never(*_):
+        raise AssertionError("edgewise facets built above the face gate")
+
+    monkeypatch.setattr(subdivision, "_simplex_edgewise_facets", never)
+    p = tmp_path / "tet.json"
+    p.write_text(dumps(simplex(3)))
+    code, out, err = run(capsys, "subdivide", str(p), "--mode", "edgewise",
+                         "--r", "300")
+    assert code == 2 and out == ""
+    assert err.startswith("gate:") and err.count("\n") == 1
 
 
 def test_generate_limit_example(capsys):
