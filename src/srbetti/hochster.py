@@ -23,29 +23,28 @@ and b~_1 grows by k - 1.  Only W where every vertex link has higher
 homology is ranked.
 
 The loop visits W in lowest-vertex-major order.  The W whose lowest vertex
-is v form a block, and the blocks run from the top vertex down, so every
-W - v lies in a finished block, and W - u, for a higher u in W, earlier in
-the same block.  The class of v's link depends only on the bits of W at
-v's neighbours above v, so each block classifies those few patterns (265
-over all vertices of sd(Delta^3)) and copies W - v's id into every W whose
-link of v is acyclic with one strided array slice, at C speed.  The rest,
-13% of the subsets of sd(Delta^3) and 17-19% of random complexes, look up
-the step on v in a map keyed by (W - v's id, v's link class) and filled
-once per key.  Only the steps that need a component count, 7% of the
-subsets of sd(Delta^3) and 0.1-0.9% of random complexes, run through
-Python: they copy from another vertex whose class is known, step on v
-with a component search, or classify the other vertices.  The (homology,
-#W) tally of a block is that of the finished blocks, each W - v counted
-once more with v added, corrected at the W the block rewrote.
+is v form a vertex block, and these run from the top vertex down, so every
+W - v lies in a finished vertex block, and W - u, for a higher u in W,
+earlier in the same one.  The class of v's link depends only on the bits
+of W at v's neighbours above v, so each vertex block classifies those few
+patterns and copies W - v's id into every W whose link of v is acyclic
+with one strided array slice, at C speed.  The rest, 13% of the subsets of
+sd(Delta^3) and 17-19% of random complexes, look up the step on v in a map
+keyed by (W - v's id, v's link class) and filled once per key.  Only the
+steps that need a component count, 7% of the subsets of sd(Delta^3) and
+0.1-0.9% of random complexes, run through Python: they copy from another
+vertex whose class is known, step on v with a component search, or
+classify the other vertices.  The (homology, #W) tally of a vertex block
+is that of the finished ones, each W - v counted once more with v added,
+corrected at the W the vertex block rewrote.
 
 The class of L (acyclic, k components, or higher homology) depends only
 on v and W & N(v), so each vertex memoizes it in a dict keyed by W & N(v),
-computed once from the homology of lk(v) on those vertices: a whole table
-asks for a few hundred classes (187 on sd^2(Delta^2), 353 on sd(Delta^3)).
+computed once per process from the homology of lk(v) on those vertices:
+a table asks for a few hundred (164 on sd^2(Delta^2), 353 on sd(Delta^3)).
 Hochster sums do not depend on labels, so the table labels the vertices by
-ascending degree: a vertex then has few neighbours above it, so its block
-needs few classes.  A block is copied in slices of at most 2^16 subsets,
-so no transient buffer outgrows a slice.
+ascending degree: a vertex then has few neighbours above it, so its vertex
+block needs few classes.
 
 A ranked W needs no rank for its edges: the rank of the edge boundary of a
 graph is #vertices - #components over every field, and the components
@@ -53,29 +52,28 @@ come from a bitmask search over the neighbour masks.  Kernels rank only
 the boundaries of 2-faces and up.
 
 The homology of each W depends on W alone, and the table adds up (#W,
-homology) counts, so the result does not depend on how the subsets are
-split across workers.  The subsets split into 2^t aligned ranges lo +
-[0, 2^m), 2^t the largest power of two at most the worker count and the
-CPU count, one process each: every extra range would classify its links
-afresh and lose the steps across its edge.  A range varies only the
-vertices below m; it steps only from W - v inside itself, so it ranks its
-first subset W = lo outright.  Tables below POOL_MIN_SUBSETS subsets run in one
-process whatever the worker count: under it, starting a pool costs more
-than it saves.
+homology) counts, so any partition of the subsets sums to the table.  It
+uses aligned blocks lo + [0, 2^m), 2^m = min(2^n, 2^BLOCK_BITS) at every
+worker count, each with fresh loop state but for the link classes.  A
+block varies only the vertices below m and steps only from W - v inside
+itself, so it ranks W = lo outright; its ids take 4·2^m bytes at any n.
+From two blocks on, min(workers, CPUs, blocks) forked processes share the
+blocks, each sent the payload once; else they run in this process.
 """
 
 from __future__ import annotations
 
 import os
 from array import array
+from collections import Counter
 from itertools import compress
 from typing import NamedTuple
 
 from .complexes import GateError, SimplicialComplex, _adjacency
 from .homology import FieldSpec, QQ, boundary_matrix, boundary_rank, reduced_betti
 
-DEFAULT_VERTEX_GATE = 22
-POOL_MIN_SUBSETS = 1 << 16   # 2 workers beat 1 from about 16 vertices on
+DEFAULT_VERTEX_GATE = 22   # bounds time: memory is 4·2^BLOCK_BITS bytes per process
+BLOCK_BITS = 16   # a block holds 2^16 subsets, the same at every worker count
 
 
 class VertexGateError(GateError):
@@ -251,7 +249,6 @@ def _spread(vals, mask, width):
     return parts[0]
 
 
-_SLICE_BITS = 16   # a slice copies at most 2^16 positions: bounds each transient
 # memo holds id << 8: the low byte takes a link class (a byte) in a step
 # map key, or #(W - lo) in a tally key
 _ID_SHIFT = 8
@@ -288,17 +285,20 @@ def _step_without_search(prev, d):
     return None
 
 
-def _accumulate(payload, lo, hi):
-    """Table entries contributed by the subsets W in the aligned range
-    [lo, hi) = lo + [0, 2^m), lo a multiple of 2^m.
+def _accumulate(payload, lo, hi, known):
+    """Table entries contributed by the subsets W in the aligned block
+    [lo, hi) = lo + [0, 2^m), lo a multiple of 2^m; `graded_betti_table`
+    passes 2^m <= 2^BLOCK_BITS, so the transients stay under 1 MiB.
+    known[v] maps W & N(v) to the class of v's link; a class does not
+    depend on the block, so the blocks of one process share it.
 
     memo[W - lo] keeps the id of the reduced homology of Delta_W, shifted
     left by _ID_SHIFT bits.  W = lo is ranked.  Any other W has a lowest
-    vertex v below m; the block of W with lowest vertex v sits at
-    memo[2^v :: 2^(v+1)], and each W - v at the same place of
-    memo[0 :: 2^(v+1)].  Blocks run from v = m - 1 down, so every W - v is
-    known when its block starts, and W - u, for a higher u in W, lies
-    earlier in the block.  Each slice of a block classifies the link of v
+    vertex v below m; the W with lowest vertex v, the vertex block of v,
+    sit at memo[2^v :: 2^(v+1)], and each W - v at the same place of
+    memo[0 :: 2^(v+1)].  Vertex blocks run from v = m - 1 down, so every
+    W - v is known when its vertex block starts, and W - u, for a higher u
+    in W, lies earlier in it.  Each vertex block classifies the link of v
     once per pattern of W at v's higher neighbours, copies the id of each
     W - v to W in one slice assignment, and rewrites the W whose link of v
     is not acyclic.  Such a W first looks up the step map, keyed by
@@ -311,15 +311,13 @@ def _accumulate(payload, lo, hi):
     copy or a step, and is ranked only when every vertex link has higher
     homology.
 
-    The tally counts (id, #(W - lo)) pairs over the finished blocks.  A
-    block counts them again one vertex larger, as its slice copies do, and
-    each rewritten W moves its count from W - v's id to its own; then the
-    block joins the tally.  The tally costs a pass over the rewritten W,
-    not over every W.
+    The tally counts (id, #(W - lo)) pairs over the finished vertex
+    blocks.  A vertex block counts them again one vertex larger, as its
+    slice copy does, and each rewritten W moves its count from W - v's id
+    to its own; then the vertex block joins the tally.  The tally costs a
+    pass over the rewritten W, not over every W.
     """
     n, masks, bnds, field, nbr, ghost, links = payload
-    # known[v]: W & N(v) -> class of v's link, filled once per pattern
-    known = [{0: _COPY} if ghost >> v & 1 else {} for v in range(n)]
     live = ((1 << n) - 1) & ~ghost
     shift = _ID_SHIFT
     part = (1 << shift) - 1
@@ -376,40 +374,36 @@ def _accumulate(payload, lo, hi):
     tally = {memo[0]: 1}
     for v in range(m - 1, -1, -1):
         bv, step = 1 << v, 2 << v
-        width = m - 1 - v   # the block is W = lo + bv + x * step, x < 2^width
-        bits = min(width, _SLICE_BITS)
-        up = nbr[v] >> (v + 1) & ((1 << bits) - 1)
+        width = m - 1 - v   # the vertex block is W = lo + bv + x * step, x < 2^width
+        up = nbr[v] >> (v + 1) & ((1 << width) - 1)
         subs, s = [0], -up & up   # the subsets of up, in increasing order
         while s:
             subs.append(s)
             s = (s - up) & up
-        # the block as copied: each W - v counted again, one vertex larger;
-        # each rewritten W then moves its count from W - v's id to its own
+        # the vertex block as copied: each W - v counted again, one vertex
+        # larger; each rewritten W then moves its count from W - v's id to its own
         block = {k + 1: count for k, count in tally.items()}
         count_of = block.get
-        for first in range(0, step << width, step << bits):
-            base = lo | first | bv   # the slice's first W
-            fixed = base & nbr[v]
-            # cls[x]: the class of v's link in W = base + x * step
-            cls = _spread(bytes(classify(v, fixed | s << (v + 1)) for s in subs),
-                          up, bits)
-            stop = first + (step << bits)
-            prev = memo[first:stop:step]   # the id of each W - v
-            memo[first + bv:stop:step] = prev
-            for x in compress(range(1 << bits), cls.translate(_NOT_COPY)):
-                h = first + bv + x * step
-                old = prev[x]
-                k = old + cls[x]
-                hid = step_id(k)
-                if hid is None:
-                    betti = _step_without_search(bettis[k >> shift], k & part)
-                    hid = steps[k] = _SEARCH if betti is None else key(betti)
-                if hid == _SEARCH:
-                    hid = search_step(h, k & part)
-                memo[h] = hid
-                size = h.bit_count()
-                block[old | size] -= 1
-                block[hid | size] = count_of(hid | size, 0) + 1
+        fixed = lo & nbr[v]
+        # cls[x]: the class of v's link in W = lo + bv + x * step
+        cls = _spread(bytes(classify(v, fixed | s << (v + 1)) for s in subs),
+                      up, width)
+        prev = memo[::step]   # the id of each W - v
+        memo[bv::step] = prev
+        for x in compress(range(1 << width), cls.translate(_NOT_COPY)):
+            h = bv + x * step
+            old = prev[x]
+            k = old + cls[x]
+            hid = step_id(k)
+            if hid is None:
+                betti = _step_without_search(bettis[k >> shift], k & part)
+                hid = steps[k] = _SEARCH if betti is None else key(betti)
+            if hid == _SEARCH:
+                hid = search_step(h, k & part)
+            memo[h] = hid
+            size = h.bit_count()
+            block[old | size] -= 1
+            block[hid | size] = count_of(hid | size, 0) + 1
         for k, count in block.items():
             if count:
                 tally[k] = tally.get(k, 0) + count
@@ -423,19 +417,28 @@ def _accumulate(payload, lo, hi):
     return out
 
 
+def _blocks(payload, starts, size):
+    """Entries of the blocks [lo, lo + size), lo in starts, sharing link classes."""
+    known = [{0: _COPY} if payload.ghost >> v & 1 else {} for v in range(payload.n)]
+    entries = Counter()
+    for lo in starts:
+        entries.update(_accumulate(payload, lo, lo + size, known))
+    return entries
+
+
 def graded_betti_table(c, field=QQ, vertex_gate=DEFAULT_VERTEX_GATE, workers=1):
     """Complete graded Betti table of the Stanley-Reisner ring of c.
 
-    Enumerates all 2^n vertex subsets; refuse above `vertex_gate`.  The
-    subsets split into 2^t aligned ranges, 2^t the largest power of two at
-    most min(workers, os.cpu_count()), one process each, and the result is
-    identical for every worker count and split.
+    Enumerates all 2^n vertex subsets; refuse above `vertex_gate`.  They
+    run in aligned blocks of min(2^n, 2^BLOCK_BITS), in this process or,
+    from two blocks on, in min(workers, os.cpu_count(), blocks) processes;
+    the blocks, so the table and the ranked subsets, ignore `workers`.
     """
     if c.n > vertex_gate:
         raise VertexGateError(
             f"{c.n} vertices exceed the subset-enumeration gate {vertex_gate}")
     # Hochster sums ignore labels: ascending degree leaves each vertex few
-    # neighbours above it, so its block classifies few link patterns
+    # neighbours above it, so its vertex block classifies few link patterns
     deg = _adjacency(c)
     label = {v: i for i, v in enumerate(sorted(range(c.n),
                                                key=lambda v: deg[v].bit_count()))}
@@ -443,22 +446,18 @@ def graded_betti_table(c, field=QQ, vertex_gate=DEFAULT_VERTEX_GATE, workers=1):
                                                for f in c.facets],
                                          assume_reduced=True), field)
     total = 1 << c.n
-    t = min(workers, os.cpu_count() or 1).bit_length() - 1
-    if not t or total < POOL_MIN_SUBSETS:
-        entries = _accumulate(payload, 0, total)
+    size = min(total, 1 << BLOCK_BITS)
+    starts = range(0, total, size)
+    procs = min(workers, os.cpu_count() or 1, len(starts))
+    if procs < 2:
+        entries = _blocks(payload, starts, size)
     else:
         import multiprocessing
 
-        size = total >> t
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(1 << t) as pool:
-            parts = pool.starmap(_accumulate, [(payload, lo, lo + size)
-                                               for lo in range(0, total, size)])
-        entries = {}
-        for part in parts:
-            for key, val in part.items():
-                entries[key] = entries.get(key, 0) + val
-    return BettiTable(n=c.n, field=field, entries=entries)
+        with multiprocessing.get_context("fork").Pool(procs) as pool:
+            entries = sum(pool.starmap(_blocks, [(payload, starts[i::procs], size)
+                                                 for i in range(procs)]), Counter())
+    return BettiTable(n=c.n, field=field, entries=dict(entries))
 
 
 def betti_witness(c, field, w):

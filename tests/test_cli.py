@@ -58,8 +58,8 @@ def test_betti_json_and_field(capsys, c6_file):
 
 
 def test_betti_worker_output_identical(capsys, tmp_path, monkeypatch):
-    # 2^10 subsets, with the pool threshold lowered so that workers fork
-    monkeypatch.setattr(hochster, "POOL_MIN_SUBSETS", 1 << 8)
+    # 2^10 subsets in 64 blocks of 2^4, so that workers fork
+    monkeypatch.setattr(hochster, "BLOCK_BITS", 4)
     p = tmp_path / "ew.json"
     p.write_text(dumps(edgewise(simplex(2), 3)))
     _, out1, _ = run(capsys, "betti", str(p), "--workers", "1")

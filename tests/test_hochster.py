@@ -68,6 +68,26 @@ def cone(c):
     return from_facets([(*f, c.n) for f in c.facets], c.n + 1)
 
 
+def ranked_subsets(monkeypatch):
+    """A list that collects each W the loop ranks outright: the
+    `_induced_betti` calls on the faces of the table's own payload."""
+    build, induced = hochster._payload, hochster._induced_betti
+    payloads, ranked = [], []
+
+    def record_payload(c, field):
+        payloads.append(build(c, field))
+        return payloads[-1]
+
+    def record(w, masks, *rest):
+        if masks is payloads[-1].masks:
+            ranked.append(w)
+        return induced(w, masks, *rest)
+
+    monkeypatch.setattr(hochster, "_payload", record_payload)
+    monkeypatch.setattr(hochster, "_induced_betti", record)
+    return ranked
+
+
 def induced_betti(c, w, field):
     """(b_-1, b_0, ...) of the subcomplex induced on the set w, trailing
     zeros dropped, from the complex built from scratch."""
@@ -115,25 +135,25 @@ class TestTable:
             graded_betti_table(c6, QQ, vertex_gate=5)
 
     def test_worker_partition_invariance(self, monkeypatch):
-        # on 4 CPUs, workers 2 and 3 cut 2 ranges and workers 4 cuts 4
-        monkeypatch.setattr(hochster, "POOL_MIN_SUBSETS", 1 << 8)
+        # 2^10 subsets in 64 blocks of 2^4: on 4 CPUs, workers 2, 3 and 4
+        # fork that many processes
+        monkeypatch.setattr(hochster, "BLOCK_BITS", 4)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        c = edgewise(simplex(2), 3)  # 2^10 subsets: the pool path
+        c = edgewise(simplex(2), 3)
         t1 = graded_betti_table(c, GF2, workers=1)
         for workers in (2, 3, 4):
             assert graded_betti_table(c, GF2, workers=workers).entries == t1.entries
 
-    @pytest.mark.parametrize("cpus, processes", [(3, 2), (None, 1)])
+    @pytest.mark.parametrize("cpus, processes", [(3, 3), (None, 1)])
     def test_pool_bounded_by_cpu_count(self, monkeypatch, cpus, processes):
-        # 8 workers on fewer CPUs: the largest power of two of ranges that
-        # the CPUs can run, each in its own process; an unknown CPU count
-        # runs the table in this process, with no pool
-        monkeypatch.setattr(hochster, "POOL_MIN_SUBSETS", 1 << 8)
+        # 3 or 8 workers on 3 CPUs: min(workers, CPUs, blocks) processes,
+        # each given one task; an unknown CPU count, or a table of one
+        # block, runs in this process, with no pool
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        asked, ranges = [], []
+        asked, tasks = [], []
 
         def starmap(fn, chunks):
-            ranges.append(len(chunks))
+            tasks.append(len(chunks))
             return list(itertools.starmap(fn, chunks))
 
         def pool(size):
@@ -142,22 +162,59 @@ class TestTable:
 
         monkeypatch.setattr(multiprocessing, "get_context",
                             lambda method: SimpleNamespace(Pool=pool))
-        c = edgewise(simplex(2), 3)  # 2^10 subsets: the pool path
+        c = edgewise(simplex(2), 3)  # 2^10 subsets
         serial = graded_betti_table(c, GF2).entries
         assert graded_betti_table(c, GF2, workers=8).entries == serial
-        assert asked == ranges == ([processes] if processes > 1 else [])
+        assert asked == tasks == []   # one block
+        monkeypatch.setattr(hochster, "BLOCK_BITS", 4)   # 64 blocks
+        for workers in (3, 8):
+            assert graded_betti_table(c, GF2, workers=workers).entries == serial
+        runs = [processes] * 2 if processes > 1 else []
+        assert asked == tasks == runs
 
     def test_cone_at_pool_size(self, monkeypatch):
-        # 16 vertices, so 2^16 subsets start the pool; the apex is adjacent
-        # to all 15 others.  Every induced subcomplex is planar or a cone,
-        # so there is no torsion and Q gives the GF(2) table
+        # the apex of a cone is adjacent to all other vertices.  Every
+        # induced subcomplex is planar or a cone, so there is no torsion
+        # and Q gives the GF(2) table.  16 vertices are one block and ask
+        # for no pool; a second apex makes two blocks, which fork
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        context, asked = multiprocessing.get_context, []
+
+        def pool(size):
+            asked.append(size)
+            return context("fork").Pool(size)
+
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method: SimpleNamespace(Pool=pool))
         c = cone(edgewise(simplex(2), 4))
-        assert 1 << c.n == hochster.POOL_MIN_SUBSETS
+        assert c.n == hochster.BLOCK_BITS
         expected = graded_betti_table(c, GF2).entries
         for field in (GF2, QQ):
             for workers in (1, 2):
                 assert graded_betti_table(c, field, workers=workers).entries == expected
+        assert asked == []
+        c = cone(c)
+        expected = graded_betti_table(c, GF2).entries
+        assert graded_betti_table(c, GF2, workers=2).entries == expected
+        assert asked == [2]
+
+    def test_ranked_subsets_ignore_the_worker_count(self, monkeypatch):
+        """Blocks are the same at every worker count, so the loop ranks the
+        same subsets: 2^10 subsets in 64 blocks, run through a pool that
+        maps in this process."""
+        monkeypatch.setattr(hochster, "BLOCK_BITS", 4)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        pool = SimpleNamespace(
+            starmap=lambda fn, chunks: list(itertools.starmap(fn, chunks)))
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(
+            Pool=lambda size: contextlib.nullcontext(pool)))
+        ranked, c = ranked_subsets(monkeypatch), edgewise(simplex(2), 3)
+        runs = []
+        for workers in (1, 2, 3):
+            ranked.clear()
+            graded_betti_table(c, GF2, workers=workers)
+            runs.append(sorted(ranked))
+        assert len(runs[0]) >= 64 and runs[1] == runs[0] and runs[2] == runs[0]
 
     def test_fields_agree_on_torsion_free_fixtures(self, c6, sd_simplex3):
         # sd(simplex(3)) and edgewise(simplex(2), 4) embed in R^3, so by
@@ -174,12 +231,13 @@ class TestAgainstNaiveOracle:
 
     @pytest.fixture(autouse=True, scope="class")
     def shared_pool(self):
-        # tables of 2^8 subsets and more run workers 2 and 3 in a pool; one
-        # fork pool of 2 serves every table, which still cuts its subsets
-        # into 2 aligned ranges, as on 3 CPUs, and merges them
+        # blocks of 2^4 subsets: a table of 2^5 subsets and more runs
+        # workers 2 and 3 in a pool, as on 3 CPUs.  One fork pool of 2
+        # serves every table, which still hands out its blocks in 2 or 3
+        # shares and merges them
         with multiprocessing.get_context("fork").Pool(2) as pool, \
                 pytest.MonkeyPatch.context() as mp:
-            mp.setattr(hochster, "POOL_MIN_SUBSETS", 1 << 8)
+            mp.setattr(hochster, "BLOCK_BITS", 4)
             mp.setattr(os, "cpu_count", lambda: 3)
             shared = SimpleNamespace(
                 Pool=lambda workers: contextlib.nullcontext(pool))
@@ -243,7 +301,7 @@ class TestAgainstNaiveOracle:
             return used[key]
 
         with mock.patch.object(hochster, "_link_class", record):
-            hochster._accumulate(payload, 0, 1 << c.n)
+            hochster._blocks(payload, [0], 1 << c.n)
         for (v, nw), d in used.items():
             assert nw & ~payload.nbr[v] == 0
             assert d == link_class(c, nw | 1 << v, v, field)
@@ -253,20 +311,15 @@ class TestAgainstNaiveOracle:
     @example(rp2_six(), GF3)
     @settings(max_examples=20, deadline=None)
     def test_every_aligned_split(self, c, field):
-        """2^t aligned ranges for every t: W copies or steps only from its
-        own range, and each range ranks its first subset and what it
-        cannot reach.  Slices of 2 positions cut every larger vertex block
-        into several slice copies."""
-        payload = hochster._payload(c, field)
-        expected, total = naive_table(c, field), 1 << c.n
-        for t, slice_bits in itertools.product(range(c.n + 1), (16, 1)):
-            merged, size = {}, total >> t
-            with mock.patch.object(hochster, "_SLICE_BITS", slice_bits):
-                for lo in range(0, total, size):
-                    part = hochster._accumulate(payload, lo, lo + size)
-                    for key, val in part.items():
-                        merged[key] = merged.get(key, 0) + val
-            assert {key: v for key, v in merged.items() if v} == expected
+        """Blocks of 2^t subsets for every t, at workers 1 and 3: W copies
+        or steps only from its own block, and each block ranks its first
+        subset and what it cannot reach."""
+        expected = naive_table(c, field)
+        for t in range(c.n + 1):
+            with mock.patch.object(hochster, "BLOCK_BITS", t):
+                for workers in (1, 3):
+                    assert (graded_betti_table(c, field, workers=workers).entries
+                            == expected)
 
     @pytest.mark.parametrize("build, ranked", [
         (lambda: simplex_boundary(3), "empty and full"),
@@ -279,20 +332,18 @@ class TestAgainstNaiveOracle:
                                                  monkeypatch):
         """Every proper subset of these complexes copies or takes a
         Mayer-Vietoris step; the loop ranks only W = {} and, where a vertex
-        link has higher homology, the whole vertex set."""
-        c = build()
-        payload = hochster._payload(c, field)
-        induced, seen = hochster._induced_betti, []
-
-        def record(w, masks, *rest):
-            if masks is payload.masks:
-                seen.append(w)
-            return induced(w, masks, *rest)
-
-        monkeypatch.setattr(hochster, "_induced_betti", record)
-        hochster._accumulate(payload, 0, 1 << c.n)
+        link has higher homology, the whole vertex set.  Cut into four
+        blocks, it also ranks each block's first subset.  (Smaller blocks
+        of sd_boundary3, of 2^8 subsets or fewer, rank more: a block
+        cannot step on its fixed high vertices.)"""
+        c, seen = build(), ranked_subsets(monkeypatch)
         full = (1 << c.n) - 1
-        assert seen == ([0, full] if ranked == "empty and full" else [0])
+        ends = [full] if ranked == "empty and full" else []
+        for bits in (c.n, c.n - 2):
+            monkeypatch.setattr(hochster, "BLOCK_BITS", bits)
+            seen.clear()
+            graded_betti_table(c, field)
+            assert seen == [*range(0, full, 1 << bits), *ends]
 
     @pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=str)
     def test_one_dimensional_complex_needs_no_rank(self, field, monkeypatch):
@@ -310,6 +361,9 @@ class TestAgainstNaiveOracle:
         assert graded_betti_table(c, field).entries == expected
 
     def test_collapses_leave_few_subsets_to_rank(self, sd_simplex3, monkeypatch):
+        # one block, as at the default 2^16 subsets: the class runs blocks
+        # of 2^4, and each ranks its first subset
+        monkeypatch.setattr(hochster, "BLOCK_BITS", sd_simplex3.n)
         calls = []
         rank = homology.gf2_rank
         monkeypatch.setattr(homology, "gf2_rank", lambda cols: calls.append(1) or rank(cols))
@@ -365,7 +419,7 @@ class TestStepMap:
         fill = hochster._step_without_search
         monkeypatch.setattr(hochster, "_step_without_search",
                             lambda prev, d: calls.append((prev, d)) or fill(prev, d))
-        hochster._accumulate(payload, 0, 1 << c.n)
+        hochster._blocks(payload, [0], 1 << c.n)
         assert calls and len(calls) == len(set(calls))
 
     @pytest.mark.parametrize("build", [lambda: simplex_boundary(3), rp2_six],
@@ -396,7 +450,7 @@ class TestStepMap:
 
         monkeypatch.setattr(hochster, "_induced_betti", rank)
         monkeypatch.setattr(hochster, "_components", search)
-        hochster._accumulate(payload, 0, 1 << c.n)
+        hochster._blocks(payload, [0], 1 << c.n)
         assert stray == []
         assert ranked == [(1 << c.n) - 1]
 
