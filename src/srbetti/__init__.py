@@ -30,6 +30,7 @@ from .subdivision import (
     edgewise,
     interior_face_check,
     interior_face_witness,
+    subdivide,
 )
 
 __all__ = [
@@ -40,7 +41,7 @@ __all__ = [
     "BettiTable", "betti_witness", "graded_betti_table",
     "gorenstein_symmetry_check", "ring_invariants", "strand_profile",
     "barycentric", "barycentric_iter", "edgewise", "interior_face_check",
-    "interior_face_witness",
+    "interior_face_witness", "subdivide",
 ]
 
 __version__ = "0.1.0"

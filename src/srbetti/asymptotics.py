@@ -25,7 +25,7 @@ from .homology import (GF2, _eliminate, boundary_matrix, kernel_basis, nullspace
                        top_homology_nonzero)
 from .formulas import predict_strand_bary, predict_strand_edgewise
 from .hochster import DEFAULT_VERTEX_GATE, graded_betti_table
-from .subdivision import barycentric_levels, edgewise
+from .subdivision import subdivide
 
 LAMBDA_GATE = 8
 CYCLE_ENUM_GATE = 1 << 20
@@ -184,16 +184,23 @@ def interior_vertex_count_after_3(d):
     return f_iterate_sd((0,) * d + (1,), 3)[1]
 
 
-# -- edgewise vertex counts -----------------------------------------------------
+# -- subdivided vertex counts ---------------------------------------------------
 
 
-def edgewise_vertex_count(c, r):
-    """Vertex count of the r-th edgewise subdivision without construction:
-    each (k-1)-face supports the compositions of r with exactly k positive
-    parts, of which there are C(r-1, k-1)."""
+def vertex_count(c, mode, r):
+    """Vertex count of subdivide(c, mode, r) without construction.
+
+    For "bary" it is the vertex entry of the f-vector after r transfers.
+    For "edgewise" each (k-1)-face supports the compositions of r with
+    exactly k positive parts, of which there are C(r-1, k-1).
+    """
+    f = c.f_vector()
+    if mode == "bary":
+        return f_iterate_sd(f, r)[1]
+    if mode != "edgewise":
+        raise ValueError(f"unknown subdivision mode {mode!r}")
     if r < 1:
         raise ValueError("edgewise subdivision needs r >= 1")
-    f = c.f_vector()
     return sum(f[k] * comb(r - 1, k - 1) for k in range(1, len(f)))
 
 
@@ -301,18 +308,21 @@ def limit_ratio_example(d, p, q, scale):
 
 def verify_last_strand(c, r, field, mode="bary",
                        vertex_gate=DEFAULT_VERTEX_GATE, workers=1):
-    """Check the last-strand window of the r-fold subdivision of c.
+    """Check the last-strand window of subdivide(c, mode, r).
 
     The minimal top cycle of c over GF(2) spans an induced subcomplex
-    whose subdivision keeps carrying top homology; with V the vertex count
-    of that subdivided support, beta_{i,i+d} must be nonzero for
-    V - d <= i <= pdim.  Within the vertex gate this is read off the full
-    table, and zeros below the window are reported as observations.  Above
-    it one rank certifies the whole window: a (d-1)-complex has no
-    d-faces, so Z_{d-1}(Delta_W) lies in Z_{d-1}(Delta_W') whenever W lies
-    in W', and a top cycle on the subdivided support gives every subset of
-    size i + d that contains it nonzero top homology.  Such subsets exist
-    up to i = pdim exactly when pdim + d <= n, that is depth = d.
+    whose subdivision keeps carrying top homology; with V its vertex count,
+    `vertex_count(mc.induced, mode, r)`, beta_{i,i+d} must be nonzero for
+    V - d <= i <= pdim.  Within the vertex gate, checked against
+    `vertex_count(c, mode, r)`, this is read off the full table, and zeros
+    below the window are reported as observations.  Above it sd^r(c) is
+    never built, and one rank certifies the whole window: a (d-1)-complex
+    has no d-faces, so Z_{d-1}(Delta_W) lies in Z_{d-1}(Delta_W') whenever
+    W lies in W'.  The subdivided support, built alone, is isomorphic to
+    the induced support (bary) or a subcomplex of it on the same vertices
+    (edgewise), so a top cycle on it gives every subset of size i + d that
+    contains the support nonzero top homology.  Such subsets exist up to
+    i = pdim exactly when pdim + d <= n, that is depth = d.
 
     Raises ValueError when c has no top homology over `field`, where the
     theorem does not apply.  Either table read here has reg = d exactly
@@ -320,19 +330,13 @@ def verify_last_strand(c, r, field, mode="bary",
     """
     d = c.dim + 1
     mc = minimal_top_cycle(c)
-    if mode == "bary":
-        sub, sigma_vertices = _subdivide_with_support(c, r, mc)
-    elif mode == "edge":
-        sub = edgewise(c, r)
-        sigma_vertices = _subdivided_support_vertices_edge(mc, sub)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    v_sigma = len(sigma_vertices)
+    n = vertex_count(c, mode, r)
+    v_sigma = vertex_count(mc.induced, mode, r)
     report = {
         "mode": mode,
         "r": r,
         "field": str(field),
-        "n": sub.n,
+        "n": n,
         "v_sigma": v_sigma,
         "window": None,
         "window_nonzero": None,
@@ -340,10 +344,10 @@ def verify_last_strand(c, r, field, mode="bary",
         "nonzeros_below_window": [],
         "method": None,
     }
-    full = sub.n <= vertex_gate
+    full = n <= vertex_gate
     # above the gate the base table gives pdim: depth is invariant under
     # both subdivisions, so pdim of the subdivided ring is n - depth(base)
-    table = graded_betti_table(sub if full else c, field,
+    table = graded_betti_table(subdivide(c, mode, r) if full else c, field,
                                vertex_gate=vertex_gate, workers=workers)
     if table.reg() < d:
         raise ValueError(f"no top homology over {field}: the last-strand "
@@ -361,43 +365,12 @@ def verify_last_strand(c, r, field, mode="bary",
             else:
                 report["nonzeros_below_window"].append(i)
         return report
-    depth = c.n - table.pdim()
-    pdim = sub.n - depth
+    pdim = n - (c.n - table.pdim())
     report["method"] = "witnesses"
     report["window"] = (lo, pdim)
-    report["window_nonzero"] = (pdim + d <= sub.n and top_homology_nonzero(
-        sub.induced(sigma_vertices), field))
+    report["window_nonzero"] = (pdim + d <= n and top_homology_nonzero(
+        subdivide(mc.induced, mode, r), field))
     return report
-
-
-def _subdivide_with_support(c, r, mc):
-    """The r-fold barycentric subdivision of c, and the sorted ids of its
-    vertices that subdivide the support of the minimal cycle mc.
-
-    A vertex of sd(K) is a face of K, and it lies in the subdivided
-    support when that face does; from the second level on the subdivided
-    support is a full subcomplex, so containment of the label suffices.
-    """
-    support = set(mc.induced.face_set) - {()}
-    keep = {f[0] for f in support if len(f) == 1}
-    sub = c
-    for level, sub in enumerate(barycentric_levels(c, r)):
-        if level == 0:
-            keep = {i for i, lab in enumerate(sub.labels)
-                    if tuple(sorted(lab)) in support}
-        else:
-            keep = {i for i, lab in enumerate(sub.labels) if lab <= keep}
-    return sub, sorted(keep)
-
-
-def _subdivided_support_vertices_edge(mc, sub):
-    support_faces = set(mc.induced.face_set) - {()}
-    keep = []
-    for i, lab in enumerate(sub.labels):
-        supp = tuple(v for v, x in enumerate(lab) if x)
-        if supp in support_faces:
-            keep.append(i)
-    return keep
 
 
 # -- asymptotic windows -------------------------------------------------------------
@@ -405,15 +378,15 @@ def _subdivided_support_vertices_edge(mc, sub):
 
 def asymptotic_window(c, r, mode, field=GF2, vertex_gate=DEFAULT_VERTEX_GATE,
                       workers=1):
-    """Predicted nonzero windows per strand of the r-fold subdivision.
+    """Predicted nonzero windows per strand of subdivide(c, mode, r).
 
-    Strand j's window is (start, n_sub - N + end), where n_sub counts the
-    vertices and [start, end] is strand j's nonzero stretch for the
-    subdivided (d-1)-simplex.  For iterated barycentric subdivision
-    (r >= 3) that is `predict_strand_bary` and N counts interior vertices
-    of the 3-fold subdivided simplex; for edgewise subdivision (r >= 2d)
-    it is `predict_strand_edgewise` of the d-th subdivision and N is the
-    vertex count of the 2d-th one.
+    Strand j's window is (start, n_sub - N + end), where n_sub is
+    `vertex_count(c, mode, r)` and [start, end] is strand j's nonzero
+    stretch for the subdivided (d-1)-simplex.  For iterated barycentric
+    subdivision (r >= 3) that is `predict_strand_bary` and N counts
+    interior vertices of the 3-fold subdivided simplex; for edgewise
+    subdivision (r >= 2d) it is `predict_strand_edgewise` of the d-th
+    subdivision and N is the vertex count of the 2d-th one.
     """
     d = c.dim + 1
     base_table = graded_betti_table(c, field, vertex_gate=vertex_gate,
@@ -422,18 +395,15 @@ def asymptotic_window(c, r, mode, field=GF2, vertex_gate=DEFAULT_VERTEX_GATE,
     if mode == "bary":
         if r < 3:
             raise ValueError("barycentric windows need r >= 3")
-        n_sub = f_iterate_sd(c.f_vector(), r)[1]
         offset = interior_vertex_count_after_3(d)
         predictions = [predict_strand_bary(d, j) for j in range(1, d)]
-    elif mode == "edge":
+    elif mode == "edgewise":
         if r < 2 * d:
             raise ValueError("edgewise windows need r >= 2d")
-        n_sub = edgewise_vertex_count(c, r)
         offset = comb(3 * d - 1, d - 1)
         predictions = [predict_strand_edgewise(d, j, d, comb(2 * d - 1, d - 1))
                        for j in range(1, d)]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    n_sub = vertex_count(c, mode, r)  # raises on any other mode
     windows = {p.j: (p.start, n_sub - offset + p.end) for p in predictions}
     return {
         "mode": mode,

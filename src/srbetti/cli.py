@@ -89,11 +89,8 @@ def cmd_info(args):
 
 def cmd_subdivide(args):
     c = _read_complex(args.complex)
-    if args.mode == "bary":
-        sub = subdivision.barycentric_iter(c, args.r)
-    else:
-        sub = subdivision.edgewise(c, args.r)
-    _emit(complexes.dumps(sub), args.output)
+    _emit(complexes.dumps(subdivision.subdivide(c, args.mode, args.r)),
+          args.output)
     return EXIT_OK
 
 
@@ -183,17 +180,17 @@ def _suite_mj(args):
     return items
 
 
-def _suite_windows(args, kind, name):
+def _suite_windows(args, kind, r, name):
     """One check of `verify_predictions` per --d, plus one observation per
     entry the theorem leaves open; each names its field."""
     from . import formulas
 
     items = []
     for d in args.dims:
-        rep = formulas.verify_predictions(kind, d, r=args.r, field=args.field,
+        rep = formulas.verify_predictions(kind, d, r=r, field=args.field,
                                           vertex_gate=args.gate,
                                           workers=args.workers)
-        items.append(_check(name.format(d=d, r=args.r), rep["ok"],
+        items.append(_check(name.format(d=d, r=r), rep["ok"],
                             {"agreements": rep["agreements"],
                              "violations": rep["violations"],
                              "field": rep["field"]}))
@@ -204,11 +201,14 @@ def _suite_windows(args, kind, name):
 
 
 def _suite_thm_bar(args):
-    return _suite_windows(args, "bary", "strand windows of subdivided simplex d={d}")
+    # the barycentric windows are for one subdivision; --r is edgewise's
+    return _suite_windows(args, "bary", 1,
+                          "strand windows of subdivided simplex d={d}")
 
 
 def _suite_edgewise(args):
-    return _suite_windows(args, "edgewise", "edgewise strand windows d={d} r={r}")
+    return _suite_windows(args, "edgewise", args.r,
+                          "edgewise strand windows d={d} r={r}")
 
 
 def _suite_gorenstein(args):
@@ -251,16 +251,16 @@ def _suite_reg(args):
     for fname, base in fixtures:
         d = base.dim + 1
         for field in (QQ, GF2):
-            predicted = formulas.predict_reg(base, field, "sd")
-            got = formulas.reg_after_subdivision(base, "sd", field,
+            predicted = formulas.predict_reg(base, field, "bary", 1)
+            got = formulas.reg_after_subdivision(base, "bary", 1, field,
                                                  table_gate=args.gate,
                                                  workers=args.workers)
             items.append(_check(f"reg after barycentric {fname} {field}",
                                 predicted.exact and got == predicted.value,
                                 {"predicted": predicted.value, "got": got}))
             r = max(d, 2)
-            predicted_e = formulas.predict_reg(base, field, ("edgewise", r))
-            got_e = formulas.reg_after_subdivision(base, ("edgewise", r), field,
+            predicted_e = formulas.predict_reg(base, field, "edgewise", r)
+            got_e = formulas.reg_after_subdivision(base, "edgewise", r, field,
                                                    table_gate=args.gate,
                                                    workers=args.workers)
             items.append(_check(f"reg after edgewise r={r} {fname} {field}",
@@ -350,7 +350,7 @@ def _suite_limits(args):
                         asymptotics.limit_vertex_constant(2) == 1))
     tri = complexes.simplex(2)
     ok_f0 = all(
-        asymptotics.edgewise_vertex_count(tri, r)
+        asymptotics.vertex_count(tri, "edgewise", r)
         == subdivision.edgewise(tri, r).f_vector()[1]
         for r in range(1, 5))
     items.append(_check("edgewise vertex count matches construction", ok_f0))

@@ -29,7 +29,7 @@ from typing import NamedTuple
 from .complexes import GateError, simplex
 from .homology import GF2, top_homology_nonzero, reduced_betti
 from .hochster import DEFAULT_VERTEX_GATE, graded_betti_table
-from .subdivision import barycentric, edgewise
+from .subdivision import subdivide
 
 ZERO = "zero"
 NONZERO = "nonzero"
@@ -193,23 +193,22 @@ class RegPrediction(NamedTuple):
     exact: bool
 
 
-def predict_reg(c, field, mode):
-    """Predicted regularity after subdivision.
+def predict_reg(c, field, mode, r):
+    """Predicted regularity of subdivide(c, mode, r).
 
-    mode is "sd" or ("edgewise", r).  The limiting value is d-1 when the
-    top reduced homology of c vanishes over the field and d otherwise;
-    for edgewise subdivision with r < d and vanishing top homology only
-    the lower bound max(reg, r-1) is claimed, and the result is flagged
-    as inexact.
+    The limiting value is d-1 when the top reduced homology of c vanishes
+    over the field and d otherwise, and it is exact for every barycentric
+    subdivision.  For edgewise subdivision with r < d and vanishing top
+    homology only the lower bound max(reg, r-1) is claimed, and the result
+    is flagged as inexact.
     """
     d = c.dim + 1
     top = top_homology_nonzero(c, field)
     w = d if top else d - 1
-    if mode == "sd":
+    if mode == "bary":
         return RegPrediction(w, True)
-    kind, r = mode
-    if kind != "edgewise":
-        raise ValueError(f"unsupported mode {mode!r}")
+    if mode != "edgewise":
+        raise ValueError(f"unknown subdivision mode {mode!r}")
     if top or r >= d:
         return RegPrediction(w, True)
     base_reg = graded_betti_table(c, field).reg()
@@ -321,28 +320,27 @@ def perturbation_cases(d):
 # -- prediction vs computation ----------------------------------------------------
 
 
-def verify_predictions(kind, d, r=None, field=GF2,
+def verify_predictions(kind, d, r=1, field=GF2,
                        vertex_gate=DEFAULT_VERTEX_GATE, workers=1):
     """Compare the strand predictions with a fully computed Betti table.
 
-    kind "bary" checks the subdivision of the (d-1)-simplex, kind
-    "edgewise" its r-th edgewise subdivision.  Zero and nonzero claims
-    must match the table (any mismatch is a violation); entries in
-    unknown stretches are recorded as observations.
+    kind "bary" checks the barycentric subdivision of the (d-1)-simplex,
+    whose windows are known for one subdivision only, so r must be 1;
+    kind "edgewise" checks its r-th edgewise subdivision, which needs
+    r >= d.  Zero and nonzero claims must match the table (any mismatch is
+    a violation); entries in unknown stretches are recorded as
+    observations.
     """
     if d < 2:
         raise ValueError(f"strand predictions need d >= 2, got d={d}")
+    if kind == "bary" and r != 1:
+        raise ValueError(f"barycentric strand windows are for r = 1, got r={r}")
+    sub = subdivide(simplex(d - 1), kind, r)
     if kind == "bary":
-        sub = barycentric(simplex(d - 1))
         predictions = [predict_strand_bary(d, j) for j in range(1, d)]
-    elif kind == "edgewise":
-        if r is None:
-            raise ValueError("edgewise verification needs r")
-        sub = edgewise(simplex(d - 1), r)
+    else:
         predictions = [predict_strand_edgewise(d, j, r, sub.n)
                        for j in range(1, d)]
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
     expected_pdim = predictions[0].pdim
     table = graded_betti_table(sub, field, vertex_gate=vertex_gate, workers=workers)
     report = {
@@ -376,42 +374,33 @@ def verify_predictions(kind, d, r=None, field=GF2,
     return report
 
 
-def reg_after_subdivision(base, mode, field, table_gate=14, workers=1):
-    """Exact regularity of the subdivided base complex.
+def reg_after_subdivision(base, mode, r, field, table_gate=14, workers=1):
+    """Exact regularity of subdivide(base, mode, r).
 
     Uses the full Betti table when the subdivision stays small.  Otherwise
     a (d-1)-complex has regularity d exactly when its top cycle space is
     nonzero (a homologically nontrivial induced subcomplex in degree d-1
     is itself a top cycle of the whole complex); if it is zero, the
     regularity is d-1, pinned from below by an induced sphere one
-    dimension down: the vertices below one top face (barycentric) or the
-    link of a vertex supported on a full facet (edgewise).  Edgewise with
-    r < d has no such vertex, and the theory gives only a lower bound.
+    dimension down: the link of the first vertex whose label is supported
+    on d vertices, a top face's barycentre (barycentric) or a composition
+    with d positive parts (edgewise).  Edgewise with r < d has no such
+    vertex, and the theory gives only a lower bound.
     """
-    if mode == "sd":
-        sub = barycentric(base)
-    else:
-        kind, r = mode
-        if kind != "edgewise":
-            raise ValueError(f"unsupported mode {mode!r}")
-        sub = edgewise(base, r)
+    sub = subdivide(base, mode, r)
     if sub.n <= table_gate:
         return graded_betti_table(sub, field, vertex_gate=table_gate,
                                   workers=workers).reg()
     d = sub.dim + 1
     if top_homology_nonzero(sub, field):
         return d
-    if mode == "sd":
-        top_face = max(base.facets, key=len)
-        witness = [i for i, lab in enumerate(sub.labels)
-                   if lab < frozenset(top_face)]
-    elif r < d:
+    v = next((i for i, lab in enumerate(sub.labels)
+              if (len(lab) if mode == "bary" else len(lab) - lab.count(0)) == d),
+             None)
+    if v is None:
         raise GateError(f"edgewise r={r} < d={d} without top homology: only a "
                         f"lower bound on reg above the table gate {table_gate}")
-    else:
-        v = next(i for i, lab in enumerate(sub.labels)
-                 if sum(1 for x in lab if x) == d)
-        witness = list(sub.link((v,)).vertex_map)
+    witness = list(sub.link((v,)).vertex_map)
     if reduced_betti(sub.induced(witness), field).get(d - 2, 0) == 0:
         raise ValueError("witness subset does not carry degree d-2 homology")
     return d - 1

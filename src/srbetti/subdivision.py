@@ -56,22 +56,25 @@ def barycentric(c):
     return SimplicialComplex(len(verts), facets, labels=labels, assume_reduced=True)
 
 
-def barycentric_levels(c, r):
-    """Yield sd(c), sd^2(c), ..., sd^r(c), building each level once."""
+def barycentric_iter(c, r):
+    """r-fold barycentric subdivision; r = 0 returns c unchanged."""
     if r < 0:
         raise ValueError("subdivision depth must be nonnegative")
     for _ in range(r):
         if sum_factorial_facets(c) > FACE_GATE:
             raise GateError("iterated subdivision exceeds the face gate")
         c = barycentric(c)
-        yield c
-
-
-def barycentric_iter(c, r):
-    """r-fold barycentric subdivision; r = 0 returns c unchanged."""
-    for c in barycentric_levels(c, r):
-        pass
     return c
+
+
+def subdivide(c, mode, r):
+    """The r-th subdivision of c in one of the two modes: "bary" is the
+    r-fold barycentric subdivision, "edgewise" the r-th edgewise one."""
+    if mode == "bary":
+        return barycentric_iter(c, r)
+    if mode == "edgewise":
+        return edgewise(c, r)
+    raise ValueError(f"unknown subdivision mode {mode!r}")
 
 
 def sum_factorial_facets(c):

@@ -39,7 +39,6 @@ from srbetti.formulas import (
     verify_predictions,
 )
 from srbetti.asymptotics import (
-    edgewise_vertex_count,
     eigendecompose,
     f_iterate_sd,
     last_strand_limit,
@@ -47,6 +46,7 @@ from srbetti.asymptotics import (
     limit_vertex_constant,
     sd_transfer_matrix,
     verify_last_strand,
+    vertex_count,
 )
 from srbetti.subdivision import (
     barycentric,
@@ -155,10 +155,10 @@ def test_07_regularity_table():
         d = base.dim + 1
         r = max(d, 2)
         for field in (QQ, GF2):
-            pred_sd = predict_reg(base, field, "sd")
-            got_sd = reg_after_subdivision(base, "sd", field)
-            pred_e = predict_reg(base, field, ("edgewise", r))
-            got_e = reg_after_subdivision(base, ("edgewise", r), field)
+            pred_sd = predict_reg(base, field, "bary", 1)
+            got_sd = reg_after_subdivision(base, "bary", 1, field)
+            pred_e = predict_reg(base, field, "edgewise", r)
+            got_e = reg_after_subdivision(base, "edgewise", r, field)
             ok &= pred_sd.exact and got_sd == pred_sd.value
             ok &= pred_e.exact and got_e == pred_e.value
             seen[(name, str(field))] = got_sd
@@ -223,13 +223,13 @@ def test_11_edgewise_vertex_growth():
     for c in (simplex(1), simplex(2), simplex(3), simplex_boundary(3),
               cycle(4)):
         for r in range(1, 7):
-            ok &= edgewise_vertex_count(c, r) == edgewise(c, r).f_vector()[1]
+            ok &= vertex_count(c, "edgewise", r) == edgewise(c, r).f_vector()[1]
     r = 10 ** 5
     for c in (cycle(4), simplex_boundary(3), simplex(3)):
         f = c.f_vector()
         d = len(f) - 1
         target = Fraction(f[-1], factorial(d - 1))
-        got = Fraction(edgewise_vertex_count(c, r), r ** (d - 1))
+        got = Fraction(vertex_count(c, "edgewise", r), r ** (d - 1))
         ok &= abs(got - target) / target < Fraction(1, 10 ** 3)
     report(11, ok, "edgewise vertex count: exact formula and growth rate")
 

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
 
 from srbetti.complexes import (
     GateError,
@@ -13,12 +15,11 @@ from srbetti.complexes import (
     stacked_sphere,
 )
 from srbetti import asymptotics, subdivision
-from srbetti.homology import GF2, QQ
+from srbetti.homology import GF2, QQ, top_homology_nonzero
 from srbetti.asymptotics import (
     MinimalCycle,
     _mat_inv,
     asymptotic_window,
-    edgewise_vertex_count,
     eigendecompose,
     f_iterate_sd,
     interior_vertex_count_after_3,
@@ -29,13 +30,58 @@ from srbetti.asymptotics import (
     minimal_top_cycle,
     sd_transfer_matrix,
     verify_last_strand,
+    vertex_count,
 )
 from srbetti.subdivision import (
     barycentric,
     barycentric_iter,
     edgewise,
     interior_vertices,
+    subdivide,
 )
+from test_hochster import random_complexes
+
+
+def _mode_id(value):
+    """Test ids name the edgewise mode "edge", as they always have."""
+    return "edge" if value == "edgewise" else None
+
+
+def _random_cycle_complexes(count=6, seed=17):
+    """Seeded random complexes of edges or of triangles on 5-6 ambient
+    vertices, alternately, that carry top homology over GF(2)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n, k = rng.randint(5, 6), 2 + len(out) % 2
+        facets = {tuple(sorted(rng.sample(range(n), k)))
+                  for _ in range(rng.randint(4, 10))}
+        c = from_facets(sorted(facets), n)
+        if top_homology_nonzero(c, GF2):
+            out.append(c)
+    return out
+
+
+def _support_vertices(c, mode, r):
+    """Vertices of subdivide(c, mode, r) that subdivide the support of
+    c's minimal top cycle, read off the labels.
+
+    An edgewise vertex lies there when its composition is supported on a
+    face of the support.  A vertex of sd(K) is a face of K, and it lies in
+    the subdivided support when that face does; from the second level on
+    the subdivided support is a full subcomplex, so containment of the
+    label in the previous level's kept vertices suffices.
+    """
+    faces = set(minimal_top_cycle(c).induced.face_set) - {()}
+    if mode == "edgewise":
+        return sum(1 for lab in edgewise(c, r).labels
+                   if tuple(v for v, x in enumerate(lab) if x) in faces)
+    sub = barycentric(c)
+    keep = {i for i, lab in enumerate(sub.labels) if tuple(sorted(lab)) in faces}
+    for _ in range(r - 1):
+        sub = barycentric(sub)
+        keep = {i for i, lab in enumerate(sub.labels) if lab <= keep}
+    return len(keep)
 
 
 def _constructed_transfer_matrix(d):
@@ -233,17 +279,17 @@ class TestVertexGrowth:
 
 class TestEdgewiseVertexCount:
     def test_triangle(self):
-        assert edgewise_vertex_count(simplex(2), 3) == 10
-        assert edgewise_vertex_count(simplex(2), 2) == 6
+        assert vertex_count(simplex(2), "edgewise", 3) == 10
+        assert vertex_count(simplex(2), "edgewise", 2) == 6
 
     def test_cycles(self):
         for r in range(1, 9):
-            assert edgewise_vertex_count(cycle(3), r) == 3 * r
+            assert vertex_count(cycle(3), "edgewise", r) == 3 * r
 
     def test_matches_construction(self, pendants):
         for c in (simplex(2), simplex(3), simplex_boundary(3), pendants):
             for r in range(1, 7):
-                assert edgewise_vertex_count(c, r) == edgewise(c, r).f_vector()[1]
+                assert vertex_count(c, "edgewise", r) == edgewise(c, r).f_vector()[1]
 
     def test_growth_limit(self):
         r = 10 ** 5
@@ -251,8 +297,21 @@ class TestEdgewiseVertexCount:
             f = c.f_vector()
             d = len(f) - 1
             target = Fraction(f[-1], factorial(d - 1))
-            got = Fraction(edgewise_vertex_count(c, r), r ** (d - 1))
+            got = Fraction(vertex_count(c, "edgewise", r), r ** (d - 1))
             assert abs(got - target) / target < Fraction(1, 10 ** 3)
+
+
+class TestVertexCount:
+    @settings(max_examples=40, deadline=None)
+    @given(random_complexes(max_n=7))
+    def test_matches_construction(self, c):
+        for mode, rs in (("bary", (1, 2)), ("edgewise", (1, 2, 3, 4))):
+            for r in rs:
+                assert vertex_count(c, mode, r) == subdivide(c, mode, r).n
+
+    def test_unknown_mode_names_it(self):
+        with pytest.raises(ValueError, match="'edge'"):
+            vertex_count(simplex(2), "edge", 2)
 
 
 class TestMinimalCycle:
@@ -349,7 +408,7 @@ class TestVerifyLastStrand:
         assert rep["window_nonzero"]
 
     def test_edge_mode_r1(self, pendants):
-        rep = verify_last_strand(pendants, 1, QQ, mode="edge")
+        rep = verify_last_strand(pendants, 1, QQ, mode="edgewise")
         assert rep["window"] == (1, 3)
         assert rep["window_nonzero"]
 
@@ -359,13 +418,23 @@ class TestVerifyLastStrand:
         assert rep["window_nonzero"]
 
     def test_witness_mode_subdivides_once(self, pendants, monkeypatch):
+        # witness mode never builds the subdivision of c: every complex it
+        # subdivides is a level of the minimal cycle support's tower, one
+        # per level
+        tower = [minimal_top_cycle(pendants).induced]
+        tower.append(barycentric(tower[0]))
         calls = []
-        build = subdivision.barycentric
-        monkeypatch.setattr(subdivision, "barycentric",
-                            lambda c: calls.append(1) or build(c))
-        rep = verify_last_strand(pendants, 2, GF2, mode="bary", vertex_gate=12)
-        assert rep["method"] == "witnesses"
-        assert len(calls) == 2  # one per level of the r = 2 tower
+        for name in ("barycentric", "edgewise"):
+            build = getattr(subdivision, name)
+            monkeypatch.setattr(subdivision, name,
+                                lambda c, *a, build=build:
+                                calls.append((c.n, c.facets)) or build(c, *a))
+        for mode, r, levels in (("bary", 2, tower), ("edgewise", 3, tower[:1])):
+            calls.clear()
+            rep = verify_last_strand(pendants, r, GF2, mode=mode,
+                                     vertex_gate=pendants.n)
+            assert rep["method"] == "witnesses" and rep["window_nonzero"]
+            assert calls == [(c.n, c.facets) for c in levels]
 
     @pytest.mark.parametrize("r", [1, 2])
     def test_witness_mode_matches_full_table_below_depth_d(self, r):
@@ -380,9 +449,10 @@ class TestVerifyLastStrand:
 
     @pytest.mark.parametrize("field", [GF2, QQ], ids=str)
     @pytest.mark.parametrize("name, mode, r", [
-        ("pendants", "bary", 1), ("pendants", "edge", 2), ("pendants", "edge", 3),
-        ("triangle+edge", "bary", 1), ("triangle+edge", "bary", 2),
-        ("triangle+edge", "edge", 2)])
+        ("pendants", "bary", 1), ("pendants", "edgewise", 2),
+        ("pendants", "edgewise", 3), ("triangle+edge", "bary", 1),
+        ("triangle+edge", "bary", 2), ("triangle+edge", "edgewise", 2)],
+        ids=_mode_id)
     def test_witness_mode_matches_full_table(self, pendants, name, mode, r, field):
         # pendants have depth d = 2, so the window holds; a triangle plus a
         # disjoint edge has depth 1 < d, so the top window index i = pdim
@@ -397,12 +467,26 @@ class TestVerifyLastStrand:
         assert wit["window"] == full["window"]
         assert wit["window_nonzero"] is full["window_nonzero"] is (name == "pendants")
 
-    @pytest.mark.parametrize("mode, vertex_gate", [("bary", 6), ("edge", 22)])
+    @pytest.mark.parametrize("mode, vertex_gate", [("bary", 6), ("edgewise", 22)],
+                             ids=_mode_id)
     def test_no_top_homology_over_field_raises(self, rp2, mode, vertex_gate):
         # RP^2 has a top cycle over GF(2) but none over Q: witness mode at
         # bary r = 1 (n = 31) and the full table at edge r = 1 (n = 6)
         with pytest.raises(ValueError, match="no top homology over Q"):
             verify_last_strand(rp2, 1, QQ, mode=mode, vertex_gate=vertex_gate)
+
+    @pytest.mark.parametrize("mode, r", [("bary", 1), ("bary", 2),
+                                         ("edgewise", 1), ("edgewise", 2),
+                                         ("edgewise", 3)], ids=str)
+    def test_support_vertices_against_labels(self, pendants, rp2, mode, r):
+        # the window starts at V - d, with V the subdivided support's
+        # vertex count; the cycles carry top homology over GF(2)
+        cases = [pendants, from_facets([(0, 1), (1, 2), (0, 2), (3, 4)], 5),
+                 rp2, simplex_boundary(3)]
+        cases += _random_cycle_complexes()
+        for c in cases:
+            rep = verify_last_strand(c, r, GF2, mode=mode, vertex_gate=c.n)
+            assert rep["window"][0] + c.dim + 1 == _support_vertices(c, mode, r)
 
     def test_witness_mode_ranks_once(self, pendants, monkeypatch):
         """Top cycles survive adding vertices, so one rank on the
@@ -438,7 +522,7 @@ class TestAsymptoticWindow:
         assert all(table.entry(i, 1) != 0 for i in range(lo, hi + 1))
 
     def test_edge_constants(self):
-        rep = asymptotic_window(simplex_boundary(3), 6, "edge", field=QQ)
+        rep = asymptotic_window(simplex_boundary(3), 6, "edgewise", field=QQ)
         assert rep["offset"] == comb(8, 2)
         lo, hi = rep["windows"][1]
         assert hi == comb(5, 2) - 3 + rep["pdim"] + rep["depth"] - comb(8, 2)
@@ -447,4 +531,4 @@ class TestAsymptoticWindow:
         with pytest.raises(ValueError):
             asymptotic_window(simplex(1), 2, "bary")
         with pytest.raises(ValueError):
-            asymptotic_window(simplex_boundary(2), 3, "edge")
+            asymptotic_window(simplex_boundary(2), 3, "edgewise")

@@ -309,6 +309,31 @@ def test_verify_reg_honours_gate(capsys, monkeypatch):
     assert all(it["status"] == "PASS" for it in json.loads(out)["checks"])
 
 
+# (fixture, reg after sd over Q, over GF(2), edgewise r, reg after it over
+# Q, over GF(2)); the edgewise r is max(d, 2)
+REG_REPORT = [
+    ("edge", 1, 1, 2, 1, 1),
+    ("triangle-boundary", 2, 2, 2, 2, 2),
+    ("hexagon", 2, 2, 2, 2, 2),
+    ("projective-plane", 2, 3, 3, 2, 3),
+]
+
+
+@pytest.mark.parametrize("gate", [[], ["--gate", "2"]], ids=["default", "gate2"])
+def test_verify_reg_report(capsys, gate):
+    code, out, _ = run(capsys, "verify", "reg", *gate)
+    assert code == 0
+    expected = []
+    for name, sd_q, sd_2, r, ew_q, ew_2 in REG_REPORT:
+        for field, sd, ew in (("Q", sd_q, ew_q), ("GF(2)", sd_2, ew_2)):
+            expected.append((f"reg after barycentric {name} {field}", "PASS",
+                             {"predicted": sd, "got": sd}))
+            expected.append((f"reg after edgewise r={r} {name} {field}", "PASS",
+                             {"predicted": ew, "got": ew}))
+    assert [(it["name"], it["status"], it["detail"])
+            for it in json.loads(out)["checks"]] == expected
+
+
 def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0

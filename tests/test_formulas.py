@@ -5,7 +5,9 @@ import pytest
 
 from srbetti.complexes import (
     GateError,
+    cycle,
     from_facets,
+    path,
     simplex,
     simplex_boundary,
     stacked_sphere,
@@ -31,7 +33,8 @@ from srbetti.formulas import (
     strand_start_closed,
     verify_predictions,
 )
-from srbetti.subdivision import barycentric, edgewise
+from srbetti.hochster import graded_betti_table
+from srbetti.subdivision import barycentric, barycentric_iter, edgewise
 
 
 class TestStrandStart:
@@ -222,7 +225,7 @@ class TestWindowsAgainstBranchOracle:
                 got = {i: pred.kind(i) for i in range(pred.pdim + 1)}
                 assert got == _edgewise_oracle(d, j, n)
 
-    @pytest.mark.parametrize("mode", ["bary", "edge"])
+    @pytest.mark.parametrize("mode", ["bary", "edgewise"], ids=["bary", "edge"])
     def test_simplex_windows(self, mode):
         for d in range(2, 7):
             rep = asymptotic_window(simplex(d - 1), 3 if mode == "bary" else 2 * d,
@@ -267,19 +270,19 @@ class TestPredictT1:
 
 class TestPredictReg:
     def test_sphere_any_r(self):
-        p = predict_reg(simplex_boundary(2), QQ, ("edgewise", 1))
+        p = predict_reg(simplex_boundary(2), QQ, "edgewise", 1)
         assert (p.value, p.exact) == (2, True)
 
     def test_edge_r3(self):
-        p = predict_reg(simplex(1), QQ, ("edgewise", 3))
+        p = predict_reg(simplex(1), QQ, "edgewise", 3)
         assert (p.value, p.exact) == (1, True)
 
     def test_rp2_by_field(self, rp2):
-        assert predict_reg(rp2, GF2, "sd").value == 3
-        assert predict_reg(rp2, QQ, "sd").value == 2
+        assert predict_reg(rp2, GF2, "bary", 1).value == 3
+        assert predict_reg(rp2, QQ, "bary", 1).value == 2
 
     def test_below_threshold_lower_bound(self, rp2):
-        p = predict_reg(rp2, QQ, ("edgewise", 2))
+        p = predict_reg(rp2, QQ, "edgewise", 2)
         assert not p.exact
         assert p.value == 2
 
@@ -289,15 +292,30 @@ class TestRegAfterSubdivision:
         # r = 2 < d = 3: no vertex has d positive coordinates, but the top
         # cycle settles reg = d
         sphere = stacked_sphere(2, 8)
-        mode = ("edgewise", 2)
-        p = predict_reg(sphere, QQ, mode)
+        mode, r = "edgewise", 2
+        p = predict_reg(sphere, QQ, mode, r)
         assert (p.value, p.exact) == (3, True)
-        assert reg_after_subdivision(sphere, mode, QQ) == 3
-        assert reg_after_subdivision(sphere, mode, QQ, table_gate=22) == 3
+        assert reg_after_subdivision(sphere, mode, r, QQ) == 3
+        assert reg_after_subdivision(sphere, mode, r, QQ, table_gate=22) == 3
+
+    @pytest.mark.parametrize("field", [QQ, GF2], ids=str)
+    def test_bary_r2_above_the_gate_matches_the_table(self, field):
+        # the cycle settles reg = d by its top homology, the paths by the
+        # link of an edge's barycentre in sd^2
+        for base in (cycle(3), simplex(1), path(4)):
+            table = graded_betti_table(barycentric_iter(base, 2), field)
+            assert reg_after_subdivision(base, "bary", 2, field,
+                                         table_gate=2) == table.reg()
+
+    @pytest.mark.parametrize("field", [QQ, GF2], ids=str)
+    def test_bary_r2_witness_in_dimension_2(self, field):
+        # sd^2 of a triangle has 25 vertices and no top homology: the link
+        # of a top face's barycentre in sd^2 pins reg = 2
+        assert reg_after_subdivision(simplex(2), "bary", 2, field) == 2
 
     def test_lower_bound_only_is_gated(self):
         with pytest.raises(GateError, match="lower bound"):
-            reg_after_subdivision(barycentric(simplex(2)), ("edgewise", 2), QQ)
+            reg_after_subdivision(barycentric(simplex(2)), "edgewise", 2, QQ)
 
 
 class TestSphereFamily:
@@ -383,6 +401,11 @@ class TestVerifyPredictions:
     def test_bary_d3(self):
         rep = verify_predictions("bary", 3, field=QQ)
         assert rep["ok"] and not rep["observations"]
+
+    def test_bary_is_for_one_subdivision(self):
+        assert verify_predictions("bary", 3, r=1, field=QQ)["r"] == 1
+        with pytest.raises(ValueError, match="r = 1, got r=3"):
+            verify_predictions("bary", 3, r=3)
 
     def test_edgewise_d3(self):
         rep = verify_predictions("edgewise", 3, r=3, field=QQ)

@@ -12,6 +12,7 @@ from srbetti.subdivision import (
     interior_face_check,
     interior_face_witness,
     interior_vertices,
+    subdivide,
 )
 
 
@@ -61,6 +62,12 @@ class TestBarycentricIter:
         sub = barycentric_iter(cycle(3), 2)
         ok, _ = is_isomorphic(sub, cycle(12))
         assert ok
+
+
+class TestSubdivide:
+    def test_unknown_mode_names_it(self):
+        with pytest.raises(ValueError, match="'edge'"):
+            subdivide(simplex(2), "edge", 2)
 
 
 class TestEdgewise:
