@@ -35,33 +35,38 @@ CYCLE_ENUM_GATE = 1 << 20
 
 
 @lru_cache(maxsize=None)
-def sd_transfer_matrix(d):
-    """(d+1) x (d+1) integer matrix sending f-vectors to f-vectors of the
-    barycentric subdivision, rows and columns indexed -1..d-1.
-
-    Entry (i, j) counts the j-dimensional faces in the interior of the
-    subdivided i-simplex.  Such a face is a chain of faces ending at the
-    whole simplex, i.e. an ordered partition of its i+1 vertices into j+1
-    blocks, so the entry is (j+1)! S(i+1, j+1), the number of surjections
-    from i+1 points onto j+1 (Brenti and Welker).  Row -1 is the unit
-    vector for the empty face.
+def _surjections(d):
+    """Entry (i, j) counts the j-dimensional faces in the interior of the
+    subdivided i-simplex, rows and columns indexed -1..d-1.  Such a face
+    is a chain of faces ending at the whole simplex, i.e. an ordered
+    partition of its i+1 vertices into j+1 blocks, so the entry is
+    (j+1)! S(i+1, j+1), the number of surjections from i+1 points onto
+    j+1 (Brenti and Welker).  Row -1 is the unit vector for the empty face.
     """
-    if d < 1:
-        raise ValueError(f"transfer matrix needs 1 <= d <= {LAMBDA_GATE}, got d={d}")
-    if d > LAMBDA_GATE:
-        raise GateError(f"transfer matrix gated at d <= {LAMBDA_GATE}")
     return tuple(tuple(sum((-1) ** t * comb(k, t) * (k - t) ** n
                            for t in range(k + 1))
                        for k in range(d + 1))
                  for n in range(d + 1))
 
 
+def sd_transfer_matrix(d):
+    """(d+1) x (d+1) integer matrix sending f-vectors to f-vectors of the
+    barycentric subdivision: the closed form `_surjections(d)`, gated at
+    d <= LAMBDA_GATE with the eigendata built from it."""
+    if d < 1:
+        raise ValueError(f"transfer matrix needs 1 <= d <= {LAMBDA_GATE}, got d={d}")
+    if d > LAMBDA_GATE:
+        raise GateError(f"transfer matrix gated at d <= {LAMBDA_GATE}")
+    return _surjections(d)
+
+
 def f_iterate_sd(f, r):
-    """Exact row-vector iteration of an f-vector under subdivision."""
+    """Exact row-vector iteration of an f-vector under subdivision, at any
+    dimension: the closed form needs no gate."""
     if r < 0:
         raise ValueError("iteration count must be nonnegative")
     f = tuple(f)
-    mat = sd_transfer_matrix(len(f) - 1)
+    mat = _surjections(len(f) - 1)
     for _ in range(r):
         f = tuple(sum(f[i] * mat[i][j] for i in range(len(f)))
                   for j in range(len(f)))
@@ -190,13 +195,14 @@ def interior_vertex_count_after_3(d):
 def vertex_count(c, mode, r):
     """Vertex count of subdivide(c, mode, r) without construction.
 
-    For "bary" it is the vertex entry of the f-vector after r transfers.
-    For "edgewise" each (k-1)-face supports the compositions of r with
-    exactly k positive parts, of which there are C(r-1, k-1).
+    For "bary" it is c.n at r = 0, where c comes back with its ghost ids,
+    else the vertex entry of the f-vector after r transfers (0 when c has
+    no vertex).  For "edgewise" each (k-1)-face supports the compositions
+    of r with exactly k positive parts, of which there are C(r-1, k-1).
     """
     f = c.f_vector()
     if mode == "bary":
-        return f_iterate_sd(f, r)[1]
+        return c.n if r == 0 else (f_iterate_sd(f, r) + (0,))[1]
     if mode != "edgewise":
         raise ValueError(f"unknown subdivision mode {mode!r}")
     if r < 1:

@@ -251,21 +251,15 @@ def _suite_reg(args):
     for fname, base in fixtures:
         d = base.dim + 1
         for field in (QQ, GF2):
-            predicted = formulas.predict_reg(base, field, "bary", 1)
-            got = formulas.reg_after_subdivision(base, "bary", 1, field,
-                                                 table_gate=args.gate,
-                                                 workers=args.workers)
-            items.append(_check(f"reg after barycentric {fname} {field}",
-                                predicted.exact and got == predicted.value,
-                                {"predicted": predicted.value, "got": got}))
-            r = max(d, 2)
-            predicted_e = formulas.predict_reg(base, field, "edgewise", r)
-            got_e = formulas.reg_after_subdivision(base, "edgewise", r, field,
-                                                   table_gate=args.gate,
-                                                   workers=args.workers)
-            items.append(_check(f"reg after edgewise r={r} {fname} {field}",
-                                predicted_e.exact and got_e == predicted_e.value,
-                                {"predicted": predicted_e.value, "got": got_e}))
+            for mode, r, what in (("bary", 1, "barycentric"),
+                                  ("edgewise", max(d, 2), f"edgewise r={max(d, 2)}")):
+                predicted = formulas.predict_reg(base, field, mode, r)
+                got = formulas.reg_after_subdivision(base, mode, r, field,
+                                                     table_gate=args.gate,
+                                                     workers=args.workers)
+                items.append(_check(f"reg after {what} {fname} {field}",
+                                    predicted.exact and got == predicted.value,
+                                    {"predicted": predicted.value, "got": got}))
     return items
 
 

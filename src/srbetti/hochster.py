@@ -15,12 +15,12 @@ b~_1(Delta_W) = b~_1(Delta_{W-v}) + k - 1 - c(W-v) + c(W), with c counting
 components; this holds for empty L (k = 0) too.  When L is acyclic the
 step copies W - v's id; a cone L, where v is dominated and Delta_W
 strong-collapses onto Delta_{W-v} (Barmak and Minian, 2012), is one such
-case.  A ghost (in no face) always copies.  Two more steps need no
-component count, so they depend only on W - v's homology and on L's
-class, over every field: if v has no neighbour in W (k = 0), c(W) =
-c(W-v) + 1; if k >= 2 and Delta_{W-v} is nonempty and connected, c(W) = 1
-and b~_1 grows by k - 1.  Only W where every vertex link has higher
-homology is ranked.
+case.  A ghost (in no face) always copies.  One rule, `_mv_betti`, makes
+every other step.  W - v's homology and L's class fix c(W) in two cases,
+over every field: if v has no neighbour in W (k = 0), c(W) = c(W-v) + 1;
+if k >= 2 and Delta_{W-v} is nonempty and connected, c(W) = 1 and b~_1
+grows by k - 1; elsewhere the step counts components.  Only W where every
+vertex link has higher homology is ranked.
 
 The loop visits W in lowest-vertex-major order.  The W whose lowest vertex
 is v form a vertex block, and these run from the top vertex down, so every
@@ -32,16 +32,16 @@ with one strided array slice, at C speed.  The rest, 13% of the subsets of
 sd(Delta^3) and 17-19% of random complexes, look up the step on v in a map
 keyed by (W - v's id, v's link class) and filled once per key.  Only the
 steps that need a component count, 7% of the subsets of sd(Delta^3) and
-0.1-0.9% of random complexes, run through Python: they copy from another
-vertex whose class is known, step on v with a component search, or
-classify the other vertices.  The (homology, #W) tally of a vertex block
+0.1-0.9% of random complexes, run through Python in one walk over W - v,
+which prefers a copy, then the step on v, then a step on another vertex,
+then a rank.  The (homology, #W) tally of a vertex block
 is that of the finished ones, each W - v counted once more with v added,
 corrected at the W the vertex block rewrote.
 
 The class of L (acyclic, k components, or higher homology) depends only
 on v and W & N(v), so each vertex memoizes it in a dict keyed by W & N(v),
 computed once per process from the homology of lk(v) on those vertices:
-a table asks for a few hundred (164 on sd^2(Delta^2), 353 on sd(Delta^3)).
+a table asks for a few hundred (164 on sd^2(Delta^2), 294 on sd(Delta^3)).
 Hochster sums do not depend on labels, so the table labels the vertices by
 ascending degree: a vertex then has few neighbours above it, so its vertex
 block needs few classes.
@@ -257,32 +257,26 @@ _ISOLATED = 3   # the class of v's link when v has no neighbour in W
 _SEARCH = -1    # step map: this step needs a component search or a rank
 
 
-def _mv_betti(prev, d, comps):
+def _mv_betti(prev, d, comps=None):
     """Reduced Betti numbers of Delta_W by the Mayer-Vietoris step on v,
     from prev = (b_-1, b_0, ...) of Delta_{W-v}, the class d = 3 + k of
-    v's link and the number c(W) of components of Delta_W."""
+    v's link and the number c(W) of components of Delta_W.  Without comps,
+    c(W) comes from prev and d where they fix it, else the result is None:
+    an isolated v adds a component, and a link of k >= 2 components joins
+    them into one when Delta_{W-v} is nonempty and connected."""
     prev += (0, 0, 0)
-    # b_0 - b_-1 + 1 counts the components of Delta_{W-v}, 0 when empty
-    betti = [0, comps - 1, prev[2] + d - 4 - (prev[1] - prev[0] + 1) + comps,
-             *prev[3:]]
+    before = prev[1] - prev[0] + 1   # c(W - v): b_0 - b_-1 + 1, 0 when empty
+    if comps is None:
+        if d == _ISOLATED:
+            comps = before + 1
+        elif d >= _ISOLATED + 2 and before == 1:
+            comps = 1
+        else:
+            return None
+    betti = [0, comps - 1, prev[2] + d - 4 - before + comps, *prev[3:]]
     while betti and not betti[-1]:
         betti.pop()
     return tuple(betti)
-
-
-def _step_without_search(prev, d):
-    """Reduced Betti numbers of Delta_W when the step on v needs no
-    component count, from prev of Delta_{W-v} and v's link class d, else
-    None: an isolated v adds a component, and a link of k >= 2
-    components joins them into one when Delta_{W-v} is nonempty and
-    connected."""
-    b = prev + (0, 0)
-    comps = b[1] - b[0] + 1   # c(W - v)
-    if d == _ISOLATED:
-        return _mv_betti(prev, d, comps + 1)
-    if d >= _ISOLATED + 2 and comps == 1:
-        return _mv_betti(prev, d, 1)
-    return None
 
 
 def _accumulate(payload, lo, hi, known):
@@ -303,13 +297,10 @@ def _accumulate(payload, lo, hi, known):
     W - v to W in one slice assignment, and rewrites the W whose link of v
     is not acyclic.  Such a W first looks up the step map, keyed by
     memo[W - v] + the class: its entry, made once per key, is W's id when
-    the step on v needs no component search (`_step_without_search`), and
-    _SEARCH otherwise.  Only a _SEARCH subset, under 1% of the subsets of
-    the random complexes and of edgewise(Delta^2, 4), runs `search_step`:
-    it copies from a higher u whose class is already known, else makes the
-    Mayer-Vietoris step on v, else classifies the other vertices for a
-    copy or a step, and is ranked only when every vertex link has higher
-    homology.
+    `_mv_betti` steps on v without a component count, and _SEARCH
+    otherwise.  Only a _SEARCH subset, under 1% of the subsets of the
+    random complexes and of edgewise(Delta^2, 4), runs `search_step`, and
+    it is ranked only when every vertex link has higher homology.
 
     The tally counts (id, #(W - lo)) pairs over the finished vertex
     blocks.  A vertex block counts them again one vertex larger, as its
@@ -343,27 +334,26 @@ def _accumulate(payload, lo, hi, known):
 
     def search_step(h, d):
         """The id of W = lo | h, a block-v subset whose step on v needs a
-        component search or a rank; d is the class of v's link."""
-        w, bv = lo | h, h & -h
-        rest = h ^ bv
+        component search or a rank; d is the class of v's link.
+
+        One walk over the higher u in W, lowest first, copies W - u's id at
+        the first u whose link is acyclic.  The step vertex is v unless its
+        link has higher homology; then the walk classifies each u until one
+        has none and takes it.  Otherwise it only reads known classes.
+        Without a copy, W steps on the step vertex with one component
+        search, or is ranked when there is none."""
+        w = lo | h
+        mv = 0 if d == _HIGHER else h & -h   # the step vertex; d its link class
+        rest = h & (h - 1)
         while rest:
             b = rest & -rest
             rest ^= b
             u = b.bit_length() - 1
-            if known[u].get(nbr[u] & w) == _COPY:
+            du = known[u].get(nbr[u] & w) if mv else classify(u, nbr[u] & w)
+            if du == _COPY:
                 return memo[h ^ b]
-        mv = bv   # the step vertex; d its link class
-        if d == _HIGHER:
-            mv, rest = 0, h ^ bv
-            while rest:
-                b = rest & -rest
-                rest ^= b
-                u = b.bit_length() - 1
-                du = classify(u, nbr[u] & w)
-                if du == _COPY:
-                    return memo[h ^ b]
-                if du != _HIGHER and not mv:
-                    mv, d = b, du
+            if not mv and du != _HIGHER:
+                mv, d = b, du
         if mv:
             return key(_mv_betti(bettis[memo[h ^ mv] >> shift], d,
                                  _components(w & live, nbr)))
@@ -396,7 +386,7 @@ def _accumulate(payload, lo, hi, known):
             k = old + cls[x]
             hid = step_id(k)
             if hid is None:
-                betti = _step_without_search(bettis[k >> shift], k & part)
+                betti = _mv_betti(bettis[k >> shift], k & part)
                 hid = steps[k] = _SEARCH if betti is None else key(betti)
             if hid == _SEARCH:
                 hid = search_step(h, k & part)

@@ -24,12 +24,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial
 
-from .complexes import (
-    FACE_GATE,
-    GateError,
-    SimplicialComplex,
-    simplex,
-)
+from .complexes import FACE_GATE, GateError, SimplicialComplex
 
 
 def barycentric(c):
@@ -201,7 +196,7 @@ def interior_face_check(c, face):
     return True
 
 
-def interior_face_witness(d, r, s, c=None):
+def interior_face_witness(d, r, s, c):
     """An s-vertex face of the r-th edgewise subdivision of the
     (d-1)-simplex whose relative interior avoids the boundary.
 
@@ -216,8 +211,6 @@ def interior_face_witness(d, r, s, c=None):
         raise ValueError("face size must be between 1 and d-1")
     if r < d:
         raise ValueError("interior faces need r >= d")
-    if c is None:
-        c = edgewise(simplex(d - 1), r)
     tail = (1,) * (d - s - 1) + (r - d + s,)
     face = tuple(sorted(
         c.vertex_by_label(tuple(int(i == k) for i in range(s)) + tail)

@@ -3,10 +3,11 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from srbetti.complexes import (
     GateError,
+    SimplicialComplex,
     cycle,
     from_facets,
     simplex,
@@ -98,6 +99,24 @@ def _constructed_transfer_matrix(d):
     return tuple(tuple(row) for row in mat)
 
 
+def _stirling_transfer(d):
+    """b! S(a, b) for a, b <= d, with S from S(a, b) = b S(a-1, b) +
+    S(a-1, b-1): the transfer matrix without its closed form."""
+    stirling = [[1] + [0] * d]
+    for a in range(1, d + 1):
+        prev = stirling[-1]
+        stirling.append([0] + [b * prev[b] + prev[b - 1] for b in range(1, d + 1)])
+    return [[factorial(b) * row[b] for b in range(d + 1)] for row in stirling]
+
+
+def _stirling_iterate(f, r):
+    """f after r transfers by `_stirling_transfer`."""
+    mat = _stirling_transfer(len(f) - 1)
+    for _ in range(r):
+        f = tuple(sum(x * row[b] for x, row in zip(f, mat)) for b in range(len(f)))
+    return f
+
+
 class TestTransferMatrix:
     def test_d2(self):
         assert sd_transfer_matrix(2) == ((1, 0, 0), (0, 1, 0), (0, 1, 2))
@@ -149,6 +168,17 @@ class TestFIterate:
             f = c.f_vector()
             for r in range(0, 4):
                 assert f_iterate_sd(f, r) == barycentric_iter(c, r).f_vector()
+
+    @pytest.mark.parametrize("d", [10, 12])
+    def test_past_the_eigen_gate(self, d):
+        """The iteration is a closed form with no eigendata, so the d <= 8
+        gate does not apply: two transfers of the f-vector of the
+        boundary of the d-simplex, against b! S(a, b) from the Stirling
+        recurrence."""
+        f = tuple(comb(d + 1, k) for k in range(d + 1))
+        assert f_iterate_sd(f, 2) == _stirling_iterate(f, 2)
+        with pytest.raises(GateError):
+            sd_transfer_matrix(d)
 
 
 class TestEigendata:
@@ -304,14 +334,21 @@ class TestEdgewiseVertexCount:
 class TestVertexCount:
     @settings(max_examples=40, deadline=None)
     @given(random_complexes(max_n=7))
+    @example(SimplicialComplex(3, [()]))   # no nonempty face, three ghost ids
     def test_matches_construction(self, c):
-        for mode, rs in (("bary", (1, 2)), ("edgewise", (1, 2, 3, 4))):
+        for mode, rs in (("bary", (0, 1, 2)), ("edgewise", (1, 2, 3, 4))):
             for r in rs:
                 assert vertex_count(c, mode, r) == subdivide(c, mode, r).n
 
     def test_unknown_mode_names_it(self):
         with pytest.raises(ValueError, match="'edge'"):
             vertex_count(simplex(2), "edge", 2)
+
+    def test_bary_past_the_eigen_gate(self):
+        # sd of the boundary of the 9-simplex: one vertex per proper face
+        c = simplex_boundary(9)
+        assert vertex_count(c, "bary", 1) == 2 ** 10 - 2
+        assert vertex_count(c, "bary", 2) == _stirling_iterate(c.f_vector(), 2)[1]
 
 
 class TestMinimalCycle:

@@ -4,13 +4,16 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from math import factorial
 
 import pytest
 
 import srbetti
 from srbetti import cli, hochster, subdivision
-from srbetti.complexes import cycle, dumps, loads, simplex
+from srbetti.complexes import cycle, dumps, loads, simplex, stacked_sphere
 from srbetti.subdivision import edgewise
+from test_asymptotics import _stirling_transfer
 
 
 @pytest.fixture
@@ -93,6 +96,15 @@ def test_subdivide_edgewise_gate(capsys, tmp_path, monkeypatch):
     assert err.startswith("gate:") and err.count("\n") == 1
 
 
+def test_subdivide_bary_gate(capsys, tmp_path):
+    # level 2 of simplex(6) would build 5040 * 7! > 2^24 facets
+    p = tmp_path / "s6.json"
+    p.write_text(dumps(simplex(6)))
+    code, out, err = run(capsys, "subdivide", str(p), "--mode", "bary", "--r", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("gate:") and err.count("\n") == 1
+
+
 def test_generate_limit_example(capsys):
     code, out, _ = run(capsys, "generate", "limit-example", "--d", "2",
                        "--p", "1", "--q", "3", "--scale", "3")
@@ -128,6 +140,26 @@ def test_limits_lambda(capsys):
     blob = json.loads(out)
     assert blob["matrix"] == [[1, 0, 0], [0, 1, 0], [0, 1, 2]]
     assert blob["vertex_constant"] == "1"
+
+
+def test_limits_polynomial(capsys, tmp_path):
+    """Coefficient k is f_top * u_k, u the row eigenvector of the transfer
+    matrix for d! with u_top = 1: back-substitution on b! S(a, b), the
+    matrix being lower triangular with diagonal 0!, ..., d!."""
+    c = stacked_sphere(2, 12)
+    p = tmp_path / "stacked.json"
+    p.write_text(dumps(c))
+    code, out, _ = run(capsys, "limits", "polynomial", str(p))
+    assert code == 0
+    f = c.f_vector()
+    d = len(f) - 1
+    mat = _stirling_transfer(d)
+    u = [Fraction(0)] * d + [Fraction(1)]
+    for j in range(d - 1, -1, -1):
+        u[j] = (sum(u[i] * mat[i][j] for i in range(j + 1, d + 1))
+                / (factorial(d) - factorial(j)))
+    got = json.loads(out)["coefficients_desc_powers"]
+    assert [Fraction(x) for x in got] == [f[-1] * x for x in u]
 
 
 def test_limits_ratio(capsys, tmp_path):

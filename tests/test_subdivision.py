@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from srbetti.complexes import cycle, is_isomorphic, simplex, simplex_boundary
+from srbetti.complexes import GateError, cycle, is_isomorphic, simplex, simplex_boundary
 from srbetti.subdivision import (
     _simplex_edgewise_facets,
     barycentric,
@@ -62,6 +62,12 @@ class TestBarycentricIter:
         sub = barycentric_iter(cycle(3), 2)
         ok, _ = is_isomorphic(sub, cycle(12))
         assert ok
+
+    def test_face_gate(self):
+        # sd(simplex(6)) has 7! facets of 7 vertices: a second level would
+        # build 5040 * 7! > 2^24 facets, so it is refused
+        with pytest.raises(GateError, match="face gate"):
+            subdivide(simplex(6), "bary", 2)
 
 
 class TestSubdivide:
@@ -182,6 +188,6 @@ class TestInterior:
 
     def test_witness_preconditions(self):
         with pytest.raises(ValueError):
-            interior_face_witness(3, 2, 1)
+            interior_face_witness(3, 2, 1, edgewise(simplex(2), 2))
         with pytest.raises(ValueError):
-            interior_face_witness(3, 3, 3)
+            interior_face_witness(3, 3, 3, edgewise(simplex(2), 3))
