@@ -1,9 +1,9 @@
-"""f-vector transfer under subdivision, exact eigen-machinery for the
-limit polynomial, minimal top cycles and last-strand limit ratios.
+"""f-vector transfer under subdivision, limit polynomials, minimal top
+cycles and last-strand limit ratios.
 
-Everything here is exact: the transfer matrix has integer entries, its
-eigendecomposition is computed over the rationals, and all convergence
-statements are checked by comparing exact rationals, never floats.
+Everything here is exact: the transfer matrix has integer entries and is
+lower triangular, its limit data comes by rational back-substitution, and
+all convergence statements compare exact rationals, never floats.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial, lcm
+from math import comb, factorial
 from typing import NamedTuple
 
 from .complexes import (
@@ -21,8 +21,7 @@ from .complexes import (
     stacked_attach,
     stacked_sphere,
 )
-from .homology import (GF2, _eliminate, boundary_matrix, kernel_basis, nullspace,
-                       top_homology_nonzero)
+from .homology import GF2, boundary_matrix, kernel_basis, top_homology_nonzero
 from .formulas import predict_strand_bary, predict_strand_edgewise
 from .hochster import DEFAULT_VERTEX_GATE, graded_betti_table
 from .subdivision import subdivide
@@ -52,7 +51,7 @@ def _surjections(d):
 def sd_transfer_matrix(d):
     """(d+1) x (d+1) integer matrix sending f-vectors to f-vectors of the
     barycentric subdivision: the closed form `_surjections(d)`, gated at
-    d <= LAMBDA_GATE with the eigendata built from it."""
+    d <= LAMBDA_GATE for what `limits lambda` prints."""
     if d < 1:
         raise ValueError(f"transfer matrix needs 1 <= d <= {LAMBDA_GATE}, got d={d}")
     if d > LAMBDA_GATE:
@@ -73,104 +72,61 @@ def f_iterate_sd(f, r):
     return f
 
 
-def _mat_mul(a, b):
-    n, m, k = len(a), len(b[0]), len(b)
-    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)]
-            for i in range(n)]
-
-
-def _mat_inv(a):
-    """Exact inverse of a square rational matrix.
-
-    Rows of [a | I] are scaled to integers and reduced by one Jordan pass,
-    which leaves [D*I | D*a^-1] for a common pivot D.
-    """
-    n = len(a)
-    m = []
-    for i, row in enumerate(a):
-        row = [Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
-        scale = lcm(*(x.denominator for x in row))
-        m.append([int(x * scale) for x in row])
-    if _eliminate(m, 0, True) != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(m)]
-
-
 class EigenData(NamedTuple):
-    """Exact diagonalization of the subdivision transfer matrix."""
+    """Limit data of the subdivision transfer matrix M: its eigenvalues and
+    the row eigenvector u of M for d! with u_d = 1."""
 
     d: int
-    p: list          # right eigenvectors as columns; last column is e_{d+1}
     diag: list       # factorial eigenvalues 0!, 1!, ..., d!
-    p_inv: list
-
-    @property
-    def p_inv_last_row(self):
-        return self.p_inv[-1]
+    top_row: list    # u with u M = d! u and u_d = 1
 
     @property
     def vertex_constant(self):
-        """Entry of P^{-1} in the last row, second column."""
-        return self.p_inv[-1][1]
+        """Entry u_1 of the top row."""
+        return self.top_row[1]
 
 
 def eigendecompose(mat):
-    """Exact eigendecomposition of the transfer matrix.
+    """Exact limit data of the transfer matrix, read off its triangular
+    shape.
 
-    Eigenvalues are the factorials 0!..d! with 1 repeated; eigenvectors are
-    a deterministic echelon kernel basis per eigenvalue and the last column
-    is normalized to the unit vector e_{d+1}, which is always an
-    eigenvector for d!.  Raises if the eigenspaces do not reconstruct the
-    matrix, which would contradict diagonalizability.
+    A lower-triangular matrix with diagonal 0!, ..., d! has only the
+    eigenvalue 1 repeated, at rows 0 and 1, so it diagonalizes exactly
+    when M[1][0] = 0; anything else raises.  The row eigenvector for d!
+    then follows by back-substitution, u_j (d! - j!) = sum_{i>j} u_i M[i][j].
+    At d = 1, M is the identity and u_0 stays 0.
     """
     size = len(mat)
     d = size - 1
-    eigenvalues = [factorial(k) for k in range(size)]
-    columns = []
-    seen = set()
-    for lam in eigenvalues:
-        if lam in seen:
-            continue
-        seen.add(lam)
-        shifted = [[mat[i][j] - (lam if i == j else 0) for j in range(size)]
-                   for i in range(size)]
-        basis = nullspace(shifted, size)
-        if len(basis) != eigenvalues.count(lam):
-            raise ValueError("transfer matrix failed to diagonalize")
-        columns.extend(basis)
-    p = [[columns[c][r] for c in range(size)] for r in range(size)]
-    # normalize the final column to the unit vector
-    last = [p[r][size - 1] for r in range(size)]
-    scale = last[size - 1]
-    if scale == 0 or any(last[r] for r in range(size - 1)):
-        raise ValueError("last eigenvector is not a multiple of e_{d+1}")
-    for r in range(size):
-        p[r][size - 1] /= scale
-    p_inv = _mat_inv(p)
-    diag = [[Fraction(eigenvalues[i]) if i == j else Fraction(0)
-             for j in range(size)] for i in range(size)]
-    recon = _mat_mul(_mat_mul(p, diag), p_inv)
-    if any(recon[i][j] != mat[i][j] for i in range(size) for j in range(size)):
-        raise ValueError("eigendecomposition does not reconstruct the matrix")
-    return EigenData(d=d, p=p, diag=[Fraction(v) for v in eigenvalues], p_inv=p_inv)
+    if d < 1:
+        raise ValueError(f"transfer matrix needs d >= 1, got d={d}")
+    diag = [factorial(k) for k in range(size)]
+    if (mat[1][0] or any(mat[i][i] != diag[i] for i in range(size))
+            or any(mat[i][j] for i in range(size) for j in range(i + 1, size))):
+        raise ValueError("transfer matrix failed to diagonalize")
+    u = [Fraction(0)] * d + [Fraction(1)]
+    for j in range(d - 1, -1, -1):
+        if diag[j] < diag[d]:
+            u[j] = (sum(u[i] * mat[i][j] for i in range(j + 1, size))
+                    / (diag[d] - diag[j]))
+    return EigenData(d=d, diag=[Fraction(v) for v in diag], top_row=u)
 
 
 @lru_cache(maxsize=None)
 def _eigendata(d):
-    return eigendecompose(sd_transfer_matrix(d))
+    return eigendecompose(_surjections(d))
 
 
 def limit_polynomial_from_f(f):
     """Coefficients of the limit of the normalized f-polynomials.
 
     Returns (c_0, ..., c_d) pairing with (t^d, ..., t^0): the limit of
-    f-polynomial / (d!)^r under iterated subdivision, which is
-    (f P) M P^{-1} with M the matrix whose only nonzero entry is a 1 in
-    the lower right corner.  The last column of P is e_{d+1}, so this is
-    f_{d-1} times the last row of P^{-1}.
+    f-polynomial / (d!)^r under iterated subdivision.  Only the eigenvalue
+    d! survives the normalization, and its right eigenvector is e_{d+1},
+    so this is f_{d-1} times the row eigenvector u with u_d = 1.
     """
     f = tuple(f)
-    return tuple(f[-1] * x for x in _eigendata(len(f) - 1).p_inv_last_row)
+    return tuple(f[-1] * x for x in _eigendata(len(f) - 1).top_row)
 
 
 def limit_polynomial(c):
@@ -316,40 +272,31 @@ def verify_last_strand(c, r, field, mode="bary",
                        vertex_gate=DEFAULT_VERTEX_GATE, workers=1):
     """Check the last-strand window of subdivide(c, mode, r).
 
-    The minimal top cycle of c over GF(2) spans an induced subcomplex
-    whose subdivision keeps carrying top homology; with V its vertex count,
-    `vertex_count(mc.induced, mode, r)`, beta_{i,i+d} must be nonzero for
-    V - d <= i <= pdim.  Within the vertex gate, checked against
-    `vertex_count(c, mode, r)`, this is read off the full table, and zeros
-    below the window are reported as observations.  Above it sd^r(c) is
-    never built, and one rank certifies the whole window: a (d-1)-complex
-    has no d-faces, so Z_{d-1}(Delta_W) lies in Z_{d-1}(Delta_W') whenever
-    W lies in W'.  The subdivided support, built alone, is isomorphic to
-    the induced support (bary) or a subcomplex of it on the same vertices
-    (edgewise), so a top cycle on it gives every subset of size i + d that
-    contains the support nonzero top homology.  Such subsets exist up to
-    i = pdim exactly when pdim + d <= n, that is depth = d.
+    The minimal top cycle of c over `field` spans a support complex whose
+    subdivision keeps carrying top homology; with V the vertex count of the
+    subdivided support on its own vertices, beta_{i,i+d} must be nonzero
+    for V - d <= i <= pdim.  Over Q the GF(2) minimal cycle serves when its
+    support carries a rational top cycle: a primitive integer cycle
+    reduces mod 2 to a GF(2) cycle on a sub-support, so the minimal
+    f-vectors agree.  Within the vertex
+    gate, checked against `vertex_count(c, mode, r)`, the window is read
+    off the full table, and zeros below it are reported as observations.
+    Above it sd^r(c) is never built, and one rank certifies the whole
+    window: a (d-1)-complex has no d-faces, so Z_{d-1}(Delta_W) lies in
+    Z_{d-1}(Delta_W') whenever W lies in W'.  The subdivided support, built
+    alone, is isomorphic to the induced support (bary) or a subcomplex of
+    it on the same vertices (edgewise), so a top cycle on it gives every
+    subset of size i + d that contains the support nonzero top homology.
+    Such subsets exist up to i = pdim exactly when pdim + d <= n, that is
+    depth = d.
 
     Raises ValueError when c has no top homology over `field`, where the
-    theorem does not apply.  Either table read here has reg = d exactly
-    when that homology is nonzero, so this costs no rank.
+    theorem does not apply; either table read here has reg = d exactly
+    when that homology is nonzero, so this costs no rank.  Over Q it also
+    raises when the GF(2) minimal support carries no rational top cycle.
     """
     d = c.dim + 1
-    mc = minimal_top_cycle(c)
     n = vertex_count(c, mode, r)
-    v_sigma = vertex_count(mc.induced, mode, r)
-    report = {
-        "mode": mode,
-        "r": r,
-        "field": str(field),
-        "n": n,
-        "v_sigma": v_sigma,
-        "window": None,
-        "window_nonzero": None,
-        "zeros_below_window": [],
-        "nonzeros_below_window": [],
-        "method": None,
-    }
     full = n <= vertex_gate
     # above the gate the base table gives pdim: depth is invariant under
     # both subdivisions, so pdim of the subdivided ring is n - depth(base)
@@ -358,25 +305,35 @@ def verify_last_strand(c, r, field, mode="bary",
     if table.reg() < d:
         raise ValueError(f"no top homology over {field}: the last-strand "
                          f"theorem does not apply")
+    mc = minimal_top_cycle(c, field if field.p else GF2)
+    support = mc.induced.induced({v for f in mc.induced.facets for v in f})
+    if not (field.p or top_homology_nonzero(support, field)):
+        raise ValueError("Q window unknown: the GF(2) minimal top cycle's "
+                         "support carries no rational top cycle")
+    v_sigma = vertex_count(support, mode, r)
     lo = v_sigma - d
+    zeros, nonzeros = [], []
     if full:
-        pdim = table.pdim()
-        report["method"] = "full_table"
-        report["window"] = (lo, pdim)
-        report["window_nonzero"] = all(table.entry(i, d) != 0
-                                       for i in range(lo, pdim + 1))
-        for i in range(0, lo):
-            if table.entry(i, d) == 0:
-                report["zeros_below_window"].append(i)
-            else:
-                report["nonzeros_below_window"].append(i)
-        return report
-    pdim = n - (c.n - table.pdim())
-    report["method"] = "witnesses"
-    report["window"] = (lo, pdim)
-    report["window_nonzero"] = (pdim + d <= n and top_homology_nonzero(
-        subdivide(mc.induced, mode, r), field))
-    return report
+        method, pdim = "full_table", table.pdim()
+        nonzero = all(table.entry(i, d) != 0 for i in range(lo, pdim + 1))
+        for i in range(lo):
+            (nonzeros if table.entry(i, d) else zeros).append(i)
+    else:
+        method, pdim = "witnesses", n - (c.n - table.pdim())
+        nonzero = (pdim + d <= n and top_homology_nonzero(
+            subdivide(support, mode, r), field))
+    return {
+        "mode": mode,
+        "r": r,
+        "field": str(field),
+        "n": n,
+        "v_sigma": v_sigma,
+        "window": (lo, pdim),
+        "window_nonzero": nonzero,
+        "zeros_below_window": zeros,
+        "nonzeros_below_window": nonzeros,
+        "method": method,
+    }
 
 
 # -- asymptotic windows -------------------------------------------------------------

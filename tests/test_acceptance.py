@@ -200,7 +200,7 @@ def test_10_transfer_matrix_and_limits():
     ok = True
     for d in range(1, 7):
         mat = sd_transfer_matrix(d)
-        eig = eigendecompose(mat)  # raises unless P D P^-1 reconstructs
+        eig = eigendecompose(mat)
         ok &= [int(v) for v in eig.diag] == [factorial(k) for k in range(d + 1)]
     for c in (cycle(3), simplex(2), simplex_boundary(3)):
         f = c.f_vector()

@@ -10,16 +10,16 @@ from srbetti.complexes import (
     SimplicialComplex,
     cycle,
     from_facets,
+    rp2_six,
     simplex,
     simplex_boundary,
     stacked_attach,
     stacked_sphere,
 )
 from srbetti import asymptotics, subdivision
-from srbetti.homology import GF2, QQ, top_homology_nonzero
+from srbetti.homology import GF2, QQ, FieldSpec, top_homology_nonzero
 from srbetti.asymptotics import (
     MinimalCycle,
-    _mat_inv,
     asymptotic_window,
     eigendecompose,
     f_iterate_sd,
@@ -71,9 +71,12 @@ def _support_vertices(c, mode, r):
     face of the support.  A vertex of sd(K) is a face of K, and it lies in
     the subdivided support when that face does; from the second level on
     the subdivided support is a full subcomplex, so containment of the
-    label in the previous level's kept vertices suffices.
+    label in the previous level's kept vertices suffices.  At bary r = 0
+    the support counts its own vertices, not c's ambient ids.
     """
     faces = set(minimal_top_cycle(c).induced.face_set) - {()}
+    if mode == "bary" and r == 0:
+        return len({v for f in faces for v in f})
     if mode == "edgewise":
         return sum(1 for lab in edgewise(c, r).labels
                    if tuple(v for v, x in enumerate(lab) if x) in faces)
@@ -83,6 +86,16 @@ def _support_vertices(c, mode, r):
         sub = barycentric(sub)
         keep = {i for i, lab in enumerate(sub.labels) if lab <= keep}
     return len(keep)
+
+
+def _rp2_glued_to_sphere():
+    """RP^2 on 0..5 glued to the stacked 2-sphere with 12 triangles along
+    the edge (0, 1), on 12 vertices.  The GF(2) minimal top cycle is RP^2;
+    over GF(3) and Q only the sphere, on 8 vertices, carries one."""
+    sphere = stacked_sphere(2, 12)
+    ids = [0, 1] + list(range(6, 12))
+    return from_facets(list(rp2_six().facets)
+                       + [tuple(sorted(ids[v] for v in f)) for f in sphere.facets], 12)
 
 
 def _constructed_transfer_matrix(d):
@@ -185,77 +198,35 @@ class TestEigendata:
     def test_d2_constant(self):
         eig = eigendecompose(sd_transfer_matrix(2))
         assert eig.vertex_constant == 1
-        assert eig.p_inv_last_row == [Fraction(0), Fraction(1), Fraction(1)]
+        assert eig.top_row == [Fraction(0), Fraction(1), Fraction(1)]
 
-    def test_reconstruction_exact(self):
-        for d in range(1, 7):
-            m = sd_transfer_matrix(d)
-            eig = eigendecompose(m)
-            size = d + 1
-            pd = [[sum(eig.p[i][t] * (eig.diag[t] if t == j else 0)
-                       for t in range(size)) for j in range(size)]
-                  for i in range(size)]
-            recon = [[sum(pd[i][t] * eig.p_inv[t][j] for t in range(size))
-                      for j in range(size)] for i in range(size)]
-            assert all(recon[i][j] == m[i][j]
-                       for i in range(size) for j in range(size))
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_top_row_is_the_row_eigenvector_for_d_factorial(self, d):
+        """u M = d! u and u_d = 1 exactly, past the d <= 8 gate of
+        `sd_transfer_matrix`, on the matrix the limit data is read from."""
+        m = asymptotics._surjections(d)
+        u = asymptotics._eigendata(d).top_row
+        assert u[d] == 1
+        assert [sum(u[i] * m[i][j] for i in range(d + 1))
+                for j in range(d + 1)] == [factorial(d) * x for x in u]
 
-    def test_last_column_is_unit_vector(self):
-        for d in (2, 3, 4, 5):
-            eig = eigendecompose(sd_transfer_matrix(d))
-            col = [eig.p[r][d] for r in range(d + 1)]
-            assert col == [0] * d + [1]
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_eigenvalues_are_factorials(self, d):
+        assert asymptotics._eigendata(d).diag == [factorial(k)
+                                                  for k in range(d + 1)]
 
     def test_d3_diagonal(self):
         eig = eigendecompose(sd_transfer_matrix(3))
         assert [int(v) for v in eig.diag] == [1, 1, 2, 6]
 
-    def test_projector_is_basis_independent(self):
-        # swapping the two eigenvectors of the repeated eigenvalue 1 leaves
-        # the spectral projector, hence the limit data, unchanged
-        m = sd_transfer_matrix(3)
-        eig = eigendecompose(m)
-        size = 4
-        p2 = [row[:] for row in eig.p]
-        for r in range(size):
-            p2[r][0], p2[r][1] = p2[r][1], p2[r][0]
-        p2_inv = _mat_inv(p2)
-        proj1 = [[eig.p[i][size - 1] * eig.p_inv[size - 1][j]
-                  for j in range(size)] for i in range(size)]
-        proj2 = [[p2[i][size - 1] * p2_inv[size - 1][j]
-                  for j in range(size)] for i in range(size)]
-        assert proj1 == proj2
-
-
-class TestMatInv:
-    def test_inverse_of_random_rational_matrices(self):
-        import random
-
-        rng = random.Random(11)
-        for n in range(1, 7):
-            for _ in range(5):
-                # lower unitriangular times upper triangular with a nonzero
-                # diagonal, rows shuffled: invertible by construction
-                low = [[Fraction(1) if i == j else
-                        Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if j < i
-                        else Fraction(0) for j in range(n)] for i in range(n)]
-                up = [[Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
-                                rng.randint(1, 4)) if i == j else
-                       Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if j > i
-                       else Fraction(0) for j in range(n)] for i in range(n)]
-                a = [[sum(low[i][t] * up[t][j] for t in range(n))
-                      for j in range(n)] for i in range(n)]
-                rng.shuffle(a)
-                inv = _mat_inv(a)
-                prod = [[sum(inv[i][t] * a[t][j] for t in range(n))
-                         for j in range(n)] for i in range(n)]
-                assert prod == [[int(i == j) for j in range(n)]
-                                for i in range(n)]
-
-    def test_singular_raises(self):
-        a = [[1, 2, 3], [Fraction(1, 2), 5, 7], [Fraction(3, 2), 7, 10]]
-        with pytest.raises(ValueError):
-            _mat_inv(a)
+    @pytest.mark.parametrize("i, j", [(1, 0), (2, 3)])
+    def test_not_diagonalizable_raises(self, i, j):
+        """M[1][0] = 1 leaves the eigenvalue 1 one eigenvector short; an
+        entry above the diagonal breaks the triangular shape."""
+        m = [list(row) for row in sd_transfer_matrix(4)]
+        m[i][j] = 1
+        with pytest.raises(ValueError, match="failed to diagonalize"):
+            eigendecompose(m)
 
 
 class TestLimitPolynomial:
@@ -457,8 +428,9 @@ class TestVerifyLastStrand:
     def test_witness_mode_subdivides_once(self, pendants, monkeypatch):
         # witness mode never builds the subdivision of c: every complex it
         # subdivides is a level of the minimal cycle support's tower, one
-        # per level
-        tower = [minimal_top_cycle(pendants).induced]
+        # per level, on the support's own vertices
+        support = minimal_top_cycle(pendants).induced
+        tower = [support.induced({v for f in support.facets for v in f})]
         tower.append(barycentric(tower[0]))
         calls = []
         for name in ("barycentric", "edgewise"):
@@ -512,7 +484,7 @@ class TestVerifyLastStrand:
         with pytest.raises(ValueError, match="no top homology over Q"):
             verify_last_strand(rp2, 1, QQ, mode=mode, vertex_gate=vertex_gate)
 
-    @pytest.mark.parametrize("mode, r", [("bary", 1), ("bary", 2),
+    @pytest.mark.parametrize("mode, r", [("bary", 0), ("bary", 1), ("bary", 2),
                                          ("edgewise", 1), ("edgewise", 2),
                                          ("edgewise", 3)], ids=str)
     def test_support_vertices_against_labels(self, pendants, rp2, mode, r):
@@ -524,6 +496,37 @@ class TestVerifyLastStrand:
         for c in cases:
             rep = verify_last_strand(c, r, GF2, mode=mode, vertex_gate=c.n)
             assert rep["window"][0] + c.dim + 1 == _support_vertices(c, mode, r)
+
+    def test_bary_r0_counts_the_support_on_its_own_vertices(self, pendants):
+        # the minimal cycle is the triangle, 3 of the 5 vertices of c
+        rep = verify_last_strand(pendants, 0, GF2)
+        assert (rep["n"], rep["v_sigma"], rep["window"]) == (5, 3, (1, 3))
+        assert rep["window_nonzero"]
+        assert rep["zeros_below_window"] == [0]
+        assert rep["nonzeros_below_window"] == []
+
+    @pytest.mark.parametrize("r, vertex_gate, method, v_sigma, window", [
+        (1, 22, "full_table", 8, (5, 9)), (2, 12, "witnesses", 26, (23, 41))],
+        ids=["r1-table", "r2-witnesses"])
+    def test_gfp_reads_its_own_minimal_cycle(self, r, vertex_gate, method,
+                                             v_sigma, window):
+        # RP^2 carries no top cycle over GF(3): the window starts at the
+        # sphere, and the GF(3) last strand is nonzero exactly on [5, 9]
+        rep = verify_last_strand(_rp2_glued_to_sphere(), r, FieldSpec.prime(3),
+                                 mode="edgewise", vertex_gate=vertex_gate)
+        assert (rep["method"], rep["v_sigma"]) == (method, v_sigma)
+        assert rep["window"] == window and rep["window_nonzero"]
+        if method == "full_table":
+            assert rep["zeros_below_window"] == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("r, vertex_gate", [(1, 22), (2, 12)],
+                             ids=["r1-table", "r2-witnesses"])
+    def test_q_refuses_a_gf2_support_without_a_rational_cycle(self, r,
+                                                               vertex_gate):
+        # the GF(2) minimal cycle is RP^2, which carries no rational one
+        with pytest.raises(ValueError, match="Q window unknown"):
+            verify_last_strand(_rp2_glued_to_sphere(), r, QQ, mode="edgewise",
+                               vertex_gate=vertex_gate)
 
     def test_witness_mode_ranks_once(self, pendants, monkeypatch):
         """Top cycles survive adding vertices, so one rank on the

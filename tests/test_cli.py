@@ -11,7 +11,8 @@ import pytest
 
 import srbetti
 from srbetti import cli, hochster, subdivision
-from srbetti.complexes import cycle, dumps, loads, simplex, stacked_sphere
+from srbetti.complexes import (cycle, dumps, loads, simplex, simplex_boundary,
+                               stacked_sphere)
 from srbetti.subdivision import edgewise
 from test_asymptotics import _stirling_transfer
 
@@ -145,21 +146,22 @@ def test_limits_lambda(capsys):
 def test_limits_polynomial(capsys, tmp_path):
     """Coefficient k is f_top * u_k, u the row eigenvector of the transfer
     matrix for d! with u_top = 1: back-substitution on b! S(a, b), the
-    matrix being lower triangular with diagonal 0!, ..., d!."""
-    c = stacked_sphere(2, 12)
-    p = tmp_path / "stacked.json"
-    p.write_text(dumps(c))
-    code, out, _ = run(capsys, "limits", "polynomial", str(p))
-    assert code == 0
-    f = c.f_vector()
-    d = len(f) - 1
-    mat = _stirling_transfer(d)
-    u = [Fraction(0)] * d + [Fraction(1)]
-    for j in range(d - 1, -1, -1):
-        u[j] = (sum(u[i] * mat[i][j] for i in range(j + 1, d + 1))
-                / (factorial(d) - factorial(j)))
-    got = json.loads(out)["coefficients_desc_powers"]
-    assert [Fraction(x) for x in got] == [f[-1] * x for x in u]
+    matrix being lower triangular with diagonal 0!, ..., d!.  The boundary
+    of the 9-simplex has d = 9, past the gate of `limits lambda`."""
+    for c in (stacked_sphere(2, 12), simplex_boundary(9)):
+        p = tmp_path / "c.json"
+        p.write_text(dumps(c))
+        code, out, _ = run(capsys, "limits", "polynomial", str(p))
+        assert code == 0
+        f = c.f_vector()
+        d = len(f) - 1
+        mat = _stirling_transfer(d)
+        u = [Fraction(0)] * d + [Fraction(1)]
+        for j in range(d - 1, -1, -1):
+            u[j] = (sum(u[i] * mat[i][j] for i in range(j + 1, d + 1))
+                    / (factorial(d) - factorial(j)))
+        got = json.loads(out)["coefficients_desc_powers"]
+        assert [Fraction(x) for x in got] == [f[-1] * x for x in u]
 
 
 def test_limits_ratio(capsys, tmp_path):
@@ -255,7 +257,9 @@ def test_transfer_matrix_below_d_1_names_the_range(capsys, tmp_path, argv):
     empty.write_text(json.dumps({"n": 2, "facets": []}))
     code, out, err = run(capsys, *(a.format(empty=empty) for a in argv))
     assert code == 2 and not out
-    assert err.startswith("error:") and "1 <= d <= 8" in err and "gate" not in err
+    # only `limits lambda` prints the gated matrix; limit data needs d >= 1
+    bound = "1 <= d <= 8" if argv[1] == "lambda" else "d >= 1"
+    assert err.startswith("error:") and bound in err and "gate" not in err
 
 
 def test_import_leaves_the_verify_modules_unloaded():
