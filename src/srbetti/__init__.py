@@ -15,7 +15,7 @@ from .complexes import (
     stacked_sphere,
     standard_complex,
 )
-from .homology import QQ, GF2, FieldSpec, reduced_betti, top_cycle_space
+from .homology import QQ, GF2, FieldSpec, reduced_betti
 from .hochster import (
     BettiTable,
     betti_witness,
@@ -37,7 +37,7 @@ __all__ = [
     "GateError", "SimplicialComplex", "cycle", "from_facets", "is_isomorphic",
     "path", "rp2_six", "simplex", "simplex_boundary", "stacked_attach",
     "stacked_sphere", "standard_complex",
-    "QQ", "GF2", "FieldSpec", "reduced_betti", "top_cycle_space",
+    "QQ", "GF2", "FieldSpec", "reduced_betti",
     "BettiTable", "betti_witness", "graded_betti_table",
     "gorenstein_symmetry_check", "ring_invariants", "strand_profile",
     "barycentric", "barycentric_iter", "edgewise", "interior_face_check",

@@ -8,8 +8,8 @@ import os
 import sys
 from math import factorial
 
-# asymptotics, formulas and fractions load in the handlers that use them,
-# so a `betti` run does not pay for importing them
+# asymptotics and formulas load in the handlers that use them, so a
+# `betti` run does not pay for importing them
 from . import complexes, hochster, subdivision
 from .complexes import GateError
 from .homology import QQ, GF2, FieldSpec
@@ -30,24 +30,6 @@ def _emit(text, out):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _env_int(name, default):
-    text = os.environ.get(name)
-    if text is None:
-        return default
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {text!r}") from None
-
-
-def _default_gate():
-    return _env_int("SRBETTI_GATE", hochster.DEFAULT_VERTEX_GATE)
-
-
-def _default_workers():
-    return _env_int("SRBETTI_WORKERS", 1)
 
 
 def _table_csv(table):
@@ -214,7 +196,9 @@ def _suite_edgewise(args):
 def _suite_gorenstein(args):
     items = []
     for d in args.dims:
-        sub = subdivision.barycentric(complexes.simplex(d - 1))
+        # sd(simplex(d-1)) has 2^d - 1 vertices: gate before building it
+        hochster.check_vertex_gate((1 << d) - 1, args.gate)
+        sub = subdivision.subdivide(complexes.simplex(d - 1), "bary", 1)
         table = hochster.graded_betti_table(sub, args.field, vertex_gate=args.gate,
                                             workers=args.workers)
         ok = hochster.gorenstein_symmetry_check(table, d)
@@ -255,7 +239,7 @@ def _suite_reg(args):
                                   ("edgewise", max(d, 2), f"edgewise r={max(d, 2)}")):
                 predicted = formulas.predict_reg(base, field, mode, r)
                 got = formulas.reg_after_subdivision(base, mode, r, field,
-                                                     table_gate=args.gate,
+                                                     vertex_gate=args.gate,
                                                      workers=args.workers)
                 items.append(_check(f"reg after {what} {fname} {field}",
                                     predicted.exact and got == predicted.value,
@@ -304,8 +288,6 @@ def _suite_appendix(args):
 
 
 def _suite_last_strand(args):
-    from fractions import Fraction
-
     from . import asymptotics
 
     items = []
@@ -316,7 +298,7 @@ def _suite_last_strand(args):
         for p in range(0, q):
             c = asymptotics.limit_ratio_example(2, p, q, max(1, -(-3 // (q - p))))
             ratio = asymptotics.last_strand_limit(c)
-            items.append(_check(f"limit ratio {p}/{q}", ratio == Fraction(p, q)))
+            items.append(_check(f"limit ratio {p}/{q}", ratio * q == p))
     base = complexes.stacked_attach(complexes.cycle(3), 2)
     rep = asymptotics.verify_last_strand(base, 1, QQ, mode="bary",
                                          vertex_gate=args.gate,
@@ -395,7 +377,7 @@ def cmd_selftest(args):
                 print(f"corrupt fixture {name}: {exc}", file=sys.stderr)
                 return EXIT_CONFIG
     ns = argparse.Namespace(
-        dmax=10, dims=[3], field=GF2, gate=_default_gate(),
+        dmax=10, dims=[3], field=GF2, gate=hochster.DEFAULT_VERTEX_GATE,
         workers=args.workers, r=3, output=None,
     )
     failures = 0
@@ -412,9 +394,9 @@ def cmd_selftest(args):
 
 
 def _add_common(sp):
-    sp.add_argument("--gate", type=int, default=None,
+    sp.add_argument("--gate", type=int, default=hochster.DEFAULT_VERTEX_GATE,
                     help="vertex gate for full subset enumeration")
-    sp.add_argument("--workers", type=int, default=None)
+    sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("-o", "--output", default=None)
 
 
@@ -492,7 +474,7 @@ def _verify_args(p):
 
 def _selftest_args(p):
     p.add_argument("--fixtures", default=None)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_selftest)
 
 
@@ -540,11 +522,6 @@ def main(argv=None):
         argv = sys.argv[1:]
     args = build_parser(argv).parse_args(argv)
     try:
-        # settings are read here, so a bad value exits 2 like bad input
-        env = {"gate": _default_gate(), "workers": _default_workers()}
-        for key, value in env.items():
-            if getattr(args, key, 0) is None:
-                setattr(args, key, value)
         if getattr(args, "workers", 1) < 1:
             raise ValueError(f"workers must be at least 1, got {args.workers}")
         if any(d < 2 for d in getattr(args, "dims", ())):

@@ -193,16 +193,6 @@ class SimplicialComplex:
             assume_reduced=True,
         )
 
-    def star(self, face):
-        """Closed star: all faces containing `face`, closed downward."""
-        face = tuple(sorted(face))
-        if not self.has_face(face):
-            raise ValueError(f"{face!r} is not a face")
-        fset = set(face)
-        facets = [g for g in self.facets if fset <= set(g)]
-        return SimplicialComplex(self.n, facets or [face], labels=self.labels,
-                                 assume_reduced=True)
-
     def boundary_complex(self):
         """Downward closure of the ridges lying in exactly one facet."""
         if self.dim < 0:

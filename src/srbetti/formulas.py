@@ -24,11 +24,12 @@ windows (`StrandPrediction`); everything else reads them.
 
 from __future__ import annotations
 
+from math import comb
 from typing import NamedTuple
 
 from .complexes import GateError, simplex
 from .homology import GF2, top_homology_nonzero, reduced_betti
-from .hochster import DEFAULT_VERTEX_GATE, graded_betti_table
+from .hochster import DEFAULT_VERTEX_GATE, check_vertex_gate, graded_betti_table
 from .subdivision import subdivide
 
 ZERO = "zero"
@@ -335,6 +336,11 @@ def verify_predictions(kind, d, r=1, field=GF2,
         raise ValueError(f"strand predictions need d >= 2, got d={d}")
     if kind == "bary" and r != 1:
         raise ValueError(f"barycentric strand windows are for r = 1, got r={r}")
+    # gate the closed-form vertex count before building the subdivision
+    if kind == "bary":
+        check_vertex_gate((1 << d) - 1, vertex_gate)
+    elif kind == "edgewise" and r >= d:
+        check_vertex_gate(comb(r + d - 1, d - 1), vertex_gate)
     sub = subdivide(simplex(d - 1), kind, r)
     if kind == "bary":
         predictions = [predict_strand_bary(d, j) for j in range(1, d)]
@@ -374,7 +380,8 @@ def verify_predictions(kind, d, r=1, field=GF2,
     return report
 
 
-def reg_after_subdivision(base, mode, r, field, table_gate=14, workers=1):
+def reg_after_subdivision(base, mode, r, field, vertex_gate=DEFAULT_VERTEX_GATE,
+                          workers=1):
     """Exact regularity of subdivide(base, mode, r).
 
     Uses the full Betti table when the subdivision stays small.  Otherwise
@@ -388,8 +395,8 @@ def reg_after_subdivision(base, mode, r, field, table_gate=14, workers=1):
     vertex, and the theory gives only a lower bound.
     """
     sub = subdivide(base, mode, r)
-    if sub.n <= table_gate:
-        return graded_betti_table(sub, field, vertex_gate=table_gate,
+    if sub.n <= vertex_gate:
+        return graded_betti_table(sub, field, vertex_gate=vertex_gate,
                                   workers=workers).reg()
     d = sub.dim + 1
     if top_homology_nonzero(sub, field):
@@ -399,7 +406,7 @@ def reg_after_subdivision(base, mode, r, field, table_gate=14, workers=1):
              None)
     if v is None:
         raise GateError(f"edgewise r={r} < d={d} without top homology: only a "
-                        f"lower bound on reg above the table gate {table_gate}")
+                        f"lower bound on reg above the vertex gate {vertex_gate}")
     witness = list(sub.link((v,)).vertex_map)
     if reduced_betti(sub.induced(witness), field).get(d - 2, 0) == 0:
         raise ValueError("witness subset does not carry degree d-2 homology")

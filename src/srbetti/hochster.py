@@ -80,6 +80,14 @@ class VertexGateError(GateError):
     """Ambient vertex count too large for full subset enumeration."""
 
 
+def check_vertex_gate(n, vertex_gate):
+    """Refuse a full table on n vertices above `vertex_gate`; callers that
+    know n in closed form check it before building the complex."""
+    if n > vertex_gate:
+        raise VertexGateError(
+            f"{n} vertices exceed the subset-enumeration gate {vertex_gate}")
+
+
 class StrandProfile(NamedTuple):
     """Endpoints and interior zeros of one strand of a Betti table."""
 
@@ -424,9 +432,7 @@ def graded_betti_table(c, field=QQ, vertex_gate=DEFAULT_VERTEX_GATE, workers=1):
     from two blocks on, in min(workers, os.cpu_count(), blocks) processes;
     the blocks, so the table and the ranked subsets, ignore `workers`.
     """
-    if c.n > vertex_gate:
-        raise VertexGateError(
-            f"{c.n} vertices exceed the subset-enumeration gate {vertex_gate}")
+    check_vertex_gate(c.n, vertex_gate)
     # Hochster sums ignore labels: ascending degree leaves each vertex few
     # neighbours above it, so its vertex block classifies few link patterns
     deg = _adjacency(c)

@@ -14,7 +14,8 @@ over Q, bitset elimination over GF(2), and modular elimination over GF(p).
 `boundary_rank` is the one place that picks the kernel for a field, for
 whole boundary matrices and for the induced subcomplexes of the Hochster
 loop alike.  One row reduction, `_eliminate`, serves the ranks over Q and
-GF(p) and every kernel basis.
+GF(p) and, with its Jordan pass mod p, the kernel bases, which are computed
+over GF(p) only.
 """
 
 from __future__ import annotations
@@ -124,9 +125,9 @@ def _eliminate(m, p, jordan):
     p == 0: fraction-free (Bareiss) elimination over Z, every division
     exact; p prime: elimination mod p on entries already reduced mod p.
     Without `jordan` only the pivot columns are wanted, and a pivot's column
-    below it is left as it was.  With `jordan` every pivot column is cleared
-    above and below its pivot, so row k divided by its pivot entry is row k
-    of the reduced echelon form (over Z all pivots end up equal).
+    below it is left as it was.  With `jordan` (mod p only) every pivot
+    column is cleared above and below its pivot, so row k divided by its
+    pivot entry is row k of the reduced echelon form.
     """
     nr = len(m)
     nc = len(m[0]) if nr else 0
@@ -155,13 +156,10 @@ def _eliminate(m, p, jordan):
                     for j in range(c, nc):
                         row_i[j] = (row_i[j] - mult * row_r[j]) % p
         else:
-            # under jordan, earlier pivots and free columns are rescaled by
-            # pv/prev, so the update starts at column 0
-            lo = 0 if jordan else c + 1
             for i in others:
                 row_i = m[i]
                 fi = row_i[c]
-                for j in range(lo, nc):
+                for j in range(c + 1, nc):
                     row_i[j] = (row_i[j] * pv - fi * row_r[j]) // prev
             prev = pv
         pivots.append(c)
@@ -181,27 +179,20 @@ def gfp_rank(rows, p):
     return len(_eliminate([[x % p for x in r] for r in rows], p, False))
 
 
-def nullspace(rows, nc, p=0):
-    """Kernel basis of a dense nr x nc integer matrix over Q (p == 0) or
-    GF(p): one vector per free column of the reduced echelon form, 1 in
-    that column and 0 in the other free columns.  Entries are Fractions
-    over Q and integers in 0..p-1 over GF(p)."""
-    from fractions import Fraction   # only here: keeps it off the CLI's imports
-
-    m = [[x % p for x in r] for r in rows] if p else [list(r) for r in rows]
+def nullspace(rows, nc, p):
+    """Kernel basis over GF(p) of a dense nr x nc integer matrix: one vector
+    per free column of the reduced echelon form, 1 in that column and 0 in
+    the other free columns, with entries in 0..p-1."""
+    if not p:
+        raise ValueError("kernel bases are computed over GF(p) only")
+    m = [[x % p for x in r] for r in rows]
     pivots = _eliminate(m, p, True)
     basis = []
     for fc in sorted(set(range(nc)) - set(pivots)):
-        if p:
-            v = [0] * nc
-            v[fc] = 1
-            for row, pc in zip(m, pivots):
-                v[pc] = -row[fc] * pow(row[pc], p - 2, p) % p
-        else:
-            v = [Fraction(0)] * nc
-            v[fc] = Fraction(1)
-            for row, pc in zip(m, pivots):
-                v[pc] = Fraction(-row[fc], row[pc])
+        v = [0] * nc
+        v[fc] = 1
+        for row, pc in zip(m, pivots):
+            v[pc] = -row[fc] * pow(row[pc], p - 2, p) % p
         basis.append(v)
     return basis
 
@@ -269,36 +260,7 @@ def top_homology_nonzero(c, field=QQ):
 
 
 def kernel_basis(mat):
-    """Deterministic kernel basis (one vector per free column of the RREF)."""
-    if not mat.cols:
-        return []
+    """Deterministic kernel basis over GF(p) (one vector per free column of
+    the RREF); ValueError over Q."""
     return nullspace(_dense(mat.columns, range(len(mat.rows))), len(mat.cols),
                      mat.field.p)
-
-
-class CycleVector(NamedTuple):
-    """A cycle in the top chain group, as face -> nonzero coefficient."""
-
-    coefficients: dict
-
-    @property
-    def support(self):
-        return tuple(sorted(self.coefficients))
-
-
-def top_cycle_space(c, field=QQ):
-    """Basis of the cycle space in top dimension.
-
-    Top-dimensional cycles are homology classes, there being no boundaries
-    from one dimension up.
-    """
-    d = c.dim
-    if d < 0:
-        return []
-    mat = boundary_matrix(c, d, field)
-    basis = kernel_basis(mat)
-    out = []
-    for vec in basis:
-        coeffs = {mat.cols[i]: x for i, x in enumerate(vec) if x}
-        out.append(CycleVector(coeffs))
-    return out

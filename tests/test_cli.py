@@ -106,6 +106,24 @@ def test_subdivide_bary_gate(capsys, tmp_path):
     assert err.startswith("gate:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "gorenstein", "--d", "11"],        # 2^11 - 1 vertices, 11! facets
+    ["verify", "thm-bar", "--d", "10"],           # 2^10 - 1 vertices
+    ["verify", "edgewise", "--d", "6", "--r", "16"],  # C(21, 5) vertices
+])
+def test_verify_gates_before_building(capsys, monkeypatch, argv):
+    # the closed-form vertex count meets the vertex gate before any
+    # subdivision is built
+    def never(*_):
+        raise AssertionError("subdivision built above the vertex gate")
+
+    monkeypatch.setattr(subdivision, "barycentric", never)
+    monkeypatch.setattr(subdivision, "edgewise", never)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("gate:") and err.count("\n") == 1
+
+
 def test_generate_limit_example(capsys):
     code, out, _ = run(capsys, "generate", "limit-example", "--d", "2",
                        "--p", "1", "--q", "3", "--scale", "3")
@@ -209,13 +227,6 @@ def test_malformed_input(capsys, tmp_path):
     bad.write_text("{not json")
     code, _, err = run(capsys, "betti", str(bad))
     assert code == 2 and err
-
-
-def test_bad_gate_environment(capsys, monkeypatch):
-    monkeypatch.setenv("SRBETTI_GATE", "abc")
-    code, _, err = run(capsys, "limits", "lambda", "--d", "3")
-    assert code == 2
-    assert err.count("\n") == 1 and "SRBETTI_GATE" in err
 
 
 @pytest.mark.parametrize("blob, word", [

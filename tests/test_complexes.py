@@ -168,10 +168,6 @@ class TestLink:
         with pytest.raises(ValueError):
             c6.link((0, 2))
 
-    def test_star_is_cone_over_link(self, c6):
-        star = c6.star((0,))
-        assert star.f_vector() == (1, 3, 2)
-
 
 class TestMinimalNonFaces:
     def test_hollow_triangle(self):

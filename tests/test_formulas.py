@@ -296,7 +296,7 @@ class TestRegAfterSubdivision:
         p = predict_reg(sphere, QQ, mode, r)
         assert (p.value, p.exact) == (3, True)
         assert reg_after_subdivision(sphere, mode, r, QQ) == 3
-        assert reg_after_subdivision(sphere, mode, r, QQ, table_gate=22) == 3
+        assert reg_after_subdivision(sphere, mode, r, QQ, vertex_gate=22) == 3
 
     @pytest.mark.parametrize("field", [QQ, GF2], ids=str)
     def test_bary_r2_above_the_gate_matches_the_table(self, field):
@@ -305,7 +305,7 @@ class TestRegAfterSubdivision:
         for base in (cycle(3), simplex(1), path(4)):
             table = graded_betti_table(barycentric_iter(base, 2), field)
             assert reg_after_subdivision(base, "bary", 2, field,
-                                         table_gate=2) == table.reg()
+                                         vertex_gate=2) == table.reg()
 
     @pytest.mark.parametrize("field", [QQ, GF2], ids=str)
     def test_bary_r2_witness_in_dimension_2(self, field):
@@ -315,7 +315,8 @@ class TestRegAfterSubdivision:
 
     def test_lower_bound_only_is_gated(self):
         with pytest.raises(GateError, match="lower bound"):
-            reg_after_subdivision(barycentric(simplex(2)), "edgewise", 2, QQ)
+            reg_after_subdivision(barycentric(simplex(2)), "edgewise", 2, QQ,
+                                  vertex_gate=14)
 
 
 class TestSphereFamily:
