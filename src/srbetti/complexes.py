@@ -62,7 +62,7 @@ class SimplicialComplex:
 
     __slots__ = (
         "n", "facets", "labels", "vertex_map",
-        "_faces_by_dim", "_face_set", "_boundary", "_mnf",
+        "_faces_by_dim", "_face_set", "_mnf",
     )
 
     def __init__(self, n, facets, labels=None, vertex_map=None, assume_reduced=False):
@@ -81,7 +81,6 @@ class SimplicialComplex:
         self.vertex_map = vertex_map
         self._faces_by_dim = None
         self._face_set = None
-        self._boundary = None
         self._mnf = None
 
     # -- basic structure -------------------------------------------------
@@ -145,11 +144,6 @@ class SimplicialComplex:
         self._enumerate_faces()
         return tuple(len(lv) for lv in self._faces_by_dim)
 
-    def vertex_by_label(self, label):
-        if self.labels is None:
-            raise ValueError("complex has no labels")
-        return self.labels.index(label)
-
     # -- derived complexes ------------------------------------------------
 
     def induced(self, w):
@@ -192,25 +186,6 @@ class SimplicialComplex:
             vertex_map=tuple(sup),
             assume_reduced=True,
         )
-
-    def boundary_complex(self):
-        """Downward closure of the ridges lying in exactly one facet."""
-        if self.dim < 0:
-            raise ValueError("boundary of the empty complex is undefined")
-        if len({len(f) for f in self.facets}) != 1:
-            raise ValueError("boundary complex requires a pure complex")
-        if self._boundary is not None:
-            return self._boundary
-        count = {}
-        size = self.dim + 1
-        for f in self.facets:
-            for i in range(size):
-                r = f[:i] + f[i + 1:]
-                count[r] = count.get(r, 0) + 1
-        ridges = sorted(r for r, c in count.items() if c == 1)
-        self._boundary = SimplicialComplex(self.n, ridges or [()],
-                                           labels=self.labels, assume_reduced=True)
-        return self._boundary
 
     # -- non-faces ---------------------------------------------------------
 
@@ -283,14 +258,20 @@ def _adjacency(c):
     return adj
 
 
+def check_iso_gate(n):
+    """Refuse an isomorphism search on n vertices above ISO_GATE; callers
+    that know n in closed form check it before building the complexes."""
+    if n > ISO_GATE:
+        raise GateError(f"isomorphism search gated at {ISO_GATE} vertices")
+
+
 def is_isomorphic(a, b):
     """Search for a vertex bijection carrying faces onto faces.
 
     Returns (found, mapping); the mapping covers the vertex supports.
     Backtracking with degree-profile pruning, gated at 64 vertices.
     """
-    if max(a.n, b.n) > ISO_GATE:
-        raise GateError(f"isomorphism search gated at {ISO_GATE} vertices")
+    check_iso_gate(max(a.n, b.n))
     if a.f_vector() != b.f_vector():
         return False, None
     prof_a, prof_b = _vertex_profiles(a), _vertex_profiles(b)

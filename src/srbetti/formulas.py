@@ -336,17 +336,16 @@ def verify_predictions(kind, d, r=1, field=GF2,
         raise ValueError(f"strand predictions need d >= 2, got d={d}")
     if kind == "bary" and r != 1:
         raise ValueError(f"barycentric strand windows are for r = 1, got r={r}")
-    # gate the closed-form vertex count before building the subdivision
+    # predict and gate on the closed-form vertex count, so that r < d and
+    # oversized subdivisions are refused before the subdivision is built
     if kind == "bary":
-        check_vertex_gate((1 << d) - 1, vertex_gate)
-    elif kind == "edgewise" and r >= d:
-        check_vertex_gate(comb(r + d - 1, d - 1), vertex_gate)
-    sub = subdivide(simplex(d - 1), kind, r)
-    if kind == "bary":
+        n = (1 << d) - 1
         predictions = [predict_strand_bary(d, j) for j in range(1, d)]
     else:
-        predictions = [predict_strand_edgewise(d, j, r, sub.n)
-                       for j in range(1, d)]
+        n = comb(r + d - 1, d - 1)
+        predictions = [predict_strand_edgewise(d, j, r, n) for j in range(1, d)]
+    check_vertex_gate(n, vertex_gate)
+    sub = subdivide(simplex(d - 1), kind, r)
     expected_pdim = predictions[0].pdim
     table = graded_betti_table(sub, field, vertex_gate=vertex_gate, workers=workers)
     report = {

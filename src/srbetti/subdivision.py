@@ -1,4 +1,5 @@
-"""Barycentric and edgewise subdivision operators, plus interiority tests.
+"""Barycentric and edgewise subdivision operators, plus the interior faces
+and links of an edgewise subdivided simplex, read off composition labels.
 
 Barycentric subdivision is the order complex of the poset of nonempty
 faces.  The r-th edgewise subdivision lives on the composition vectors
@@ -15,13 +16,17 @@ x + (1, ..., 1).  The subdivision of a simplex is therefore the
 Freudenthal (Kuhn) triangulation of the region
 0 <= x_1 <= ... <= x_{n-1} <= r (Edelsbrunner and Grayson, Edgewise
 subdivision of a simplex), and its facets, the chains that stay inside
-the region, are built directly instead of searched for.
+the region, are built directly instead of searched for.  A face's link
+needs only the chains based within one unit below it, and by (i) a face
+lies on the boundary exactly when its labels share a zero coordinate, so
+neither needs the whole subdivision.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import accumulate, combinations_with_replacement, permutations, product
 from math import factorial
 
 from .complexes import FACE_GATE, GateError, SimplicialComplex
@@ -76,59 +81,77 @@ def sum_factorial_facets(c):
     return sum(factorial(len(g)) for g in c.facets)
 
 
-def _positive_compositions(total, parts):
-    """Compositions of `total` into `parts` strictly positive parts."""
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _positive_compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-@lru_cache(maxsize=None)
-def _simplex_edgewise_facets(k, r):
-    """Facets of the r-th edgewise subdivision of a simplex on k vertices,
-    as tuples of composition vectors of length k, each in descending
-    lexicographic order.
-
-    Each facet is a Freudenthal chain in partial-sum coordinates: from a
-    weakly increasing x in [0, r-1]^(k-1), add the k-1 unit vectors one at
-    a time, every point staying weakly increasing.  A step that would
-    leave the region ends its branch; the r^(k-1) complete chains are the
-    facets.  Adding e_i moves one unit from part i+1 to part i, which
-    raises the composition lexicographically.
-    """
-    m = k - 1
+def _chains(r, bases):
+    """Freudenthal chains as tuples of compositions of r, in descending
+    lexicographic order.  From each weakly increasing base x in
+    [0, r-1]^m, add the m unit vectors one at a time, every point staying
+    weakly increasing; a step that would leave the region ends its branch.
+    Adding e_i moves one unit from part i+1 to part i, which raises the
+    composition lexicographically."""
+    chains = []
 
     def composition(x):
         return tuple(b - a for a, b in zip((0, *x), (*x, r)))
 
-    facets = []
-
     def grow(base, x, chain):
-        if len(chain) == k:
-            facets.append(tuple(reversed(chain)))
+        m = len(base)
+        if len(chain) > m:
+            chains.append(tuple(reversed(chain)))
         for i in range(m):
             if x[i] == base[i] and (i + 1 == m or x[i] < x[i + 1]):
                 y = x[:i] + (x[i] + 1,) + x[i + 1:]
                 grow(base, y, chain + [composition(y)])
 
-    for base in combinations_with_replacement(range(r), m):
+    for base in bases:
         grow(base, base, [composition(base)])
-    return tuple(sorted(facets))
+    return chains
+
+
+@lru_cache(maxsize=None)
+def _simplex_edgewise_facets(k, r):
+    """Facets of the r-th edgewise subdivision of a simplex on k vertices:
+    the r^(k-1) chains from every weakly increasing base, sorted."""
+    return tuple(sorted(_chains(r, combinations_with_replacement(range(r), k - 1))))
+
+
+def edgewise_link(face):
+    """Link of a face of the edgewise subdivision of a simplex, the face
+    given by its composition labels, built from the facets through it.
+
+    Every point of a chain lies within one unit above its base, so a facet
+    through the face has its base at top - delta for some delta in
+    {0,1}^m, where top is the face's coordinatewise maximum in partial-sum
+    coordinates.  Only those bases are grown, so the cost does not depend
+    on r.  Vertices are the link's labels in descending lexicographic
+    order, as in `link` on the constructed subdivision.
+    """
+    r = sum(face[0])
+    top = tuple(map(max, zip(*(accumulate(a[:-1]) for a in face))))
+    bases = []
+    for delta in product((0, 1), repeat=len(top)):
+        b = tuple(t - e for t, e in zip(top, delta))
+        if all(p <= q for p, q in zip((0, *b), (*b, r - 1))):  # in the region
+            bases.append(b)
+    fset = set(face)
+    link_facets = [tuple(a for a in chain if a not in fset)
+                   for chain in _chains(r, bases) if fset <= set(chain)]
+    if not link_facets:
+        raise ValueError(f"{face!r} is not a face")
+    verts = sorted({a for g in link_facets for a in g}, reverse=True)
+    vid = {a: i for i, a in enumerate(verts)}
+    return SimplicialComplex(len(verts), [[vid[a] for a in g] for g in link_facets],
+                             labels=tuple(verts), assume_reduced=True)
 
 
 def edgewise(c, r):
     """r-th edgewise subdivision of c, on composition-vector vertices.
 
-    Vertices are the compositions of r supported on a face, in descending
-    lexicographic order (so r = 1 reproduces the identity on vertex ids);
-    labels are the composition tuples.  Facets are assembled per facet of
-    c from the cached subdivision of a simplex, which is valid because the
-    pairwise condition restricted to a fixed support reduces to the same
-    condition on the restricted coordinates.  Each facet g of c becomes
+    Vertices are the compositions of r supported on a face, read off the
+    facets, in descending lexicographic order (so r = 1 reproduces the
+    identity on vertex ids); labels are the composition tuples.  Facets
+    are assembled per facet of c from the cached subdivision of a simplex,
+    which is valid because the pairwise condition restricted to a fixed
+    support reduces to the same condition on the restricted coordinates.  Each facet g of c becomes
     r^(|g|-1) facets; above FACE_GATE in all, GateError is raised before
     anything is built.
     """
@@ -137,84 +160,74 @@ def edgewise(c, r):
     if sum(r ** (len(g) - 1) for g in c.facets if g) > FACE_GATE:
         raise GateError("edgewise subdivision exceeds the face gate")
     n = c.n
-    verts = set()
-    for k in range(c.dim + 1):
-        for f in c.faces_of_dim(k):
-            for pos in _positive_compositions(r, len(f)):
-                a = [0] * n
-                for v, val in zip(f, pos):
-                    a[v] = val
-                verts.add(tuple(a))
-    verts = sorted(verts, reverse=True)
-    vid = {a: i for i, a in enumerate(verts)}
-    facets = []
-    for g in c.facets:
-        if not g:
-            continue
-        k = len(g)
-        for sf in _simplex_edgewise_facets(k, r):
-            lifted = []
+    lifted = []
+    for g in filter(None, c.facets):
+        for sf in _simplex_edgewise_facets(len(g), r):
+            rows = []
             for b in sf:
                 a = [0] * n
                 for v, val in zip(g, b):
                     a[v] = val
-                lifted.append(vid[tuple(a)])
-            facets.append(tuple(sorted(lifted)))
-    if not facets:
+                rows.append(tuple(a))
+            lifted.append(rows)
+    if not lifted:
         return SimplicialComplex(0, [()])
-    return SimplicialComplex(len(verts), facets, labels=tuple(verts),
-                             assume_reduced=True)
+    verts = sorted({a for f in lifted for a in f}, reverse=True)
+    vid = {a: i for i, a in enumerate(verts)}
+    return SimplicialComplex(len(verts), [[vid[a] for a in f] for f in lifted],
+                             labels=tuple(verts), assume_reduced=True)
 
 
 # -- interiority -------------------------------------------------------------
 
 
 def boundary_vertex_set(c):
-    return {v for (v,) in c.boundary_complex().faces_of_dim(0)}
+    """Vertices of the ridges of a pure complex that lie in one facet only."""
+    if len({len(f) for f in c.facets}) != 1:
+        raise ValueError("the boundary needs a pure complex")
+    count = Counter(f[:i] + f[i + 1:] for f in c.facets for i in range(len(f)))
+    return {v for ridge, k in count.items() if k == 1 for v in ridge}
 
 
 def interior_vertices(c):
-    """Vertices of a pure complex not lying on its boundary complex."""
+    """Vertices of a pure complex off its boundary."""
     bdry = boundary_vertex_set(c)
     return [v for (v,) in c.faces_of_dim(0) if v not in bdry]
 
 
-def interior_face_check(c, face):
-    """True iff every proper nonempty subset of `face` lies on the boundary
-    complex of c while `face` itself does not."""
-    face = tuple(sorted(face))
-    if not c.has_face(face):
-        raise ValueError(f"{face!r} is not a face")
-    bdry = c.boundary_complex().face_set
-    if face in bdry:
-        return False
-    k = len(face)
-    for size in range(1, k):
-        for sub in combinations(face, size):
-            if sub not in bdry:
-                return False
-    return True
+def interior_face_check(face):
+    """True iff the face of an edgewise subdivided simplex with these
+    composition labels is off the boundary while every proper nonempty
+    subset of it lies on the boundary.
+
+    By face rule (i) a face lies on the boundary exactly when its labels
+    share a zero coordinate.  So the labels together must be positive in
+    every coordinate, and each must be the only positive one in some
+    coordinate, else the others would still cover every coordinate.
+    """
+    cover = [sum(x > 0 for x in col) for col in zip(*face)]
+    return all(cover) and all(
+        any(x > 0 and n == 1 for x, n in zip(a, cover)) for a in face)
 
 
-def interior_face_witness(d, r, s, c):
-    """An s-vertex face of the r-th edgewise subdivision of the
-    (d-1)-simplex whose relative interior avoids the boundary.
+def interior_face_witness(d, r, s):
+    """The composition labels, in descending lexicographic order, of an
+    s-vertex face of the r-th edgewise subdivision of the (d-1)-simplex
+    whose relative interior avoids the boundary.
 
-    The face has the vertices e_k + (1, ..., 1, r-d+s) for k < s: a unit
-    vector on one of the first s coordinates followed by a shared strictly
-    positive tail.  Together they support every coordinate, while a proper
-    subset misses one of the first s.  The face is validated with
-    interior_face_check before being returned.  Requires r >= d and
-    1 <= s <= d-1.
+    The labels are e_k + (1, ..., 1, r-d+s) for k < s: a unit vector on
+    one of the first s coordinates followed by a shared strictly positive
+    tail.  Any two differ by e_k - e_l, so they form a face.  Together they
+    support every coordinate, while a proper subset misses one of the first
+    s.  The face is validated with interior_face_check before being
+    returned.  Requires r >= d and 1 <= s <= d-1.
     """
     if not (1 <= s <= d - 1):
         raise ValueError("face size must be between 1 and d-1")
     if r < d:
         raise ValueError("interior faces need r >= d")
     tail = (1,) * (d - s - 1) + (r - d + s,)
-    face = tuple(sorted(
-        c.vertex_by_label(tuple(int(i == k) for i in range(s)) + tail)
-        for k in range(s)))
-    if c.has_face(face) and interior_face_check(c, face):
+    face = tuple(tuple(int(i == k) for i in range(s)) + tail for k in range(s))
+    if interior_face_check(face):
         return face
     raise RuntimeError(f"no interior witness found for d={d}, r={r}, s={s}")

@@ -40,6 +40,7 @@ from srbetti.subdivision import (
     interior_vertices,
     subdivide,
 )
+from test_complexes import ridge_boundary
 from test_hochster import random_complexes
 
 
@@ -105,7 +106,7 @@ def _constructed_transfer_matrix(d):
     mat[0][0] = 1
     for i in range(d):
         sub = barycentric(simplex(i))
-        bset = sub.boundary_complex().face_set
+        bset = ridge_boundary(sub).face_set
         for jdim in range(i + 1):
             mat[i + 1][jdim + 1] = sum(
                 1 for f in sub.faces_of_dim(jdim) if f not in bset)

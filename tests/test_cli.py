@@ -295,10 +295,36 @@ def test_verify_link_checks_every_d(capsys):
 
 
 def test_verify_link_refuses_huge_simplex(capsys):
-    # d=40 asks for the faces of a 39-simplex: refused before any is built
+    # at d=40 a vertex link has 2^40 - 2 vertices: the isomorphism gate
+    # refuses it before the witness or any link is built
     code, _, err = run(capsys, "verify", "link", "--d", "3,40", "--r", "3")
     assert code == 2
     assert err.count("\n") == 1 and "gate" in err
+
+
+def _refuse_to_build(*args, **kwargs):
+    raise AssertionError("the subdivision was built")
+
+
+def test_verify_link_never_builds_the_subdivision(capsys, monkeypatch):
+    monkeypatch.setattr(subdivision, "edgewise", _refuse_to_build)
+    monkeypatch.setattr(subdivision, "subdivide", _refuse_to_build)
+    code, out, _ = run(capsys, "verify", "link", "--d", "5", "--r", "40")
+    assert code == 0
+    assert json.loads(out)["failed"] == 0
+    # 2^7 - 2 = 126 link vertices are past the isomorphism gate
+    code, out, err = run(capsys, "verify", "link", "--d", "7", "--r", "7")
+    assert code == 2 and not out
+    assert err == "gate: isomorphism search gated at 64 vertices\n"
+
+
+def test_verify_edgewise_refuses_r_below_d_before_building(capsys, monkeypatch):
+    from srbetti import formulas
+
+    monkeypatch.setattr(formulas, "subdivide", _refuse_to_build)
+    code, out, err = run(capsys, "verify", "edgewise", "--d", "12", "--r", "3")
+    assert code == 2 and not out
+    assert err == "error: strand windows for edgewise subdivision need r >= d\n"
 
 
 def test_verify_edgewise_checks_every_d(capsys):

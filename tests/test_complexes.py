@@ -1,5 +1,6 @@
 import json
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,14 @@ from srbetti.complexes import (
     stacked_sphere,
     standard_complex,
 )
-from srbetti.subdivision import barycentric
+from srbetti.subdivision import barycentric, boundary_vertex_set, edgewise, interior_vertices
+
+
+def ridge_boundary(c):
+    """Boundary complex of a pure complex, counted here as an oracle: the
+    downward closure of the ridges that lie in exactly one facet."""
+    count = Counter(f[:i] + f[i + 1:] for f in c.facets for i in range(len(f)))
+    return from_facets([r for r, k in count.items() if k == 1] or [()], c.n)
 
 
 def random_complexes():
@@ -210,25 +218,35 @@ def test_is_flag(sd_simplex2, c6):
 
 
 class TestBoundaryComplex:
-    def test_subdivided_triangle(self):
-        from srbetti.subdivision import edgewise
+    @staticmethod
+    def vertices(b):
+        return {v for (v,) in b.faces_of_dim(0)}
 
-        b = edgewise(simplex(2), 2).boundary_complex()
+    def test_subdivided_triangle(self):
+        sub = edgewise(simplex(2), 2)
+        b = ridge_boundary(sub)
         ok, _ = is_isomorphic(b, cycle(6))
         assert ok
+        assert boundary_vertex_set(sub) == self.vertices(b)
+        assert interior_vertices(sub) == []
 
     def test_sphere_has_empty_boundary(self):
-        b = simplex_boundary(2).boundary_complex()
-        assert b.facets == ((),)
+        c = simplex_boundary(2)
+        assert ridge_boundary(c).facets == ((),)
+        assert boundary_vertex_set(c) == set()
+        assert interior_vertices(c) == [0, 1, 2]
 
     def test_sd_simplex(self, sd_simplex2):
-        b = sd_simplex2.boundary_complex()
+        b = ridge_boundary(sd_simplex2)
         ok, _ = is_isomorphic(b, cycle(6))
         assert ok
+        assert boundary_vertex_set(sd_simplex2) == self.vertices(b)
+        assert [sd_simplex2.labels[v] for v in interior_vertices(sd_simplex2)] \
+            == [frozenset({0, 1, 2})]
 
     def test_non_pure_rejected(self):
         with pytest.raises(ValueError):
-            from_facets([[0, 1, 2], [3, 4]], 5).boundary_complex()
+            interior_vertices(from_facets([[0, 1, 2], [3, 4]], 5))
 
 
 class TestIsomorphism:

@@ -1,4 +1,4 @@
-from itertools import accumulate, product
+from itertools import accumulate, combinations, product
 from math import factorial
 
 import pytest
@@ -9,11 +9,13 @@ from srbetti.subdivision import (
     barycentric,
     barycentric_iter,
     edgewise,
+    edgewise_link,
     interior_face_check,
     interior_face_witness,
     interior_vertices,
     subdivide,
 )
+from test_complexes import ridge_boundary
 
 
 class TestBarycentric:
@@ -25,7 +27,7 @@ class TestBarycentric:
 
     def test_triangle(self, sd_simplex2):
         assert sd_simplex2.f_vector() == (1, 7, 12, 6)
-        apex = sd_simplex2.vertex_by_label(frozenset({0, 1, 2}))
+        apex = sd_simplex2.labels.index(frozenset({0, 1, 2}))
         lk = sd_simplex2.link((apex,))
         ok, _ = is_isomorphic(lk, cycle(6))
         assert ok
@@ -149,14 +151,25 @@ class TestEdgewise:
             assert all(list(f) == sorted(f, reverse=True) for f in facets)
 
 
+def _interior_by_ridges(bdry, face):
+    """The ridge-count oracle for interior_face_check: the face is off the
+    boundary face set while every proper nonempty subset is on it."""
+    return face not in bdry and all(
+        sub in bdry for size in range(1, len(face)) for sub in combinations(face, size))
+
+
+def _ids(sub, face):
+    return [sub.labels.index(a) for a in face]
+
+
 class TestInterior:
     def test_interior_vertex(self):
         sub = edgewise(simplex(2), 3)
-        v = sub.vertex_by_label((1, 1, 1))
-        assert interior_face_check(sub, (v,))
-        w = sub.vertex_by_label((2, 1, 0))
-        assert not interior_face_check(sub, (w,))
-        assert not interior_face_check(sub, tuple(sorted((v, w))))
+        v, w = (1, 1, 1), (2, 1, 0)
+        assert sub.has_face(_ids(sub, (w, v)))
+        assert interior_face_check((v,))
+        assert not interior_face_check((w,))
+        assert not interior_face_check((w, v))
 
     def test_interior_vertex_threshold(self):
         # r >= d has interior vertices, r < d has none
@@ -168,26 +181,64 @@ class TestInterior:
 
     def test_witness_vertex(self):
         sub = edgewise(simplex(2), 3)
-        face = interior_face_witness(3, 3, 1, sub)
-        assert [sub.labels[v] for v in face] == [(1, 1, 1)]
+        face = interior_face_witness(3, 3, 1)
+        assert face == ((1, 1, 1),) and sub.has_face(_ids(sub, face))
 
     def test_witness_validates(self):
         for d in range(2, 6):
             for r in range(d, d + 3):
                 sub = edgewise(simplex(d - 1), r)
+                bdry = ridge_boundary(sub).face_set
                 for s in range(1, d):
-                    face = interior_face_witness(d, r, s, sub)
+                    face = interior_face_witness(d, r, s)
+                    ids = _ids(sub, face)
                     assert len(face) == s
-                    assert interior_face_check(sub, face)
+                    # descending labels are ascending ids
+                    assert ids == sorted(ids) and sub.has_face(ids)
+                    assert interior_face_check(face)
+                    assert _interior_by_ridges(bdry, tuple(ids))
 
     def test_witness_d4(self):
         sub = edgewise(simplex(3), 4)
+        bdry = ridge_boundary(sub).face_set
         for s in (1, 2, 3):
-            face = interior_face_witness(4, 4, s, sub)
-            assert interior_face_check(sub, face)
+            face = interior_face_witness(4, 4, s)
+            assert interior_face_check(face)
+            assert _interior_by_ridges(bdry, tuple(_ids(sub, face)))
 
     def test_witness_preconditions(self):
         with pytest.raises(ValueError):
-            interior_face_witness(3, 2, 1, edgewise(simplex(2), 2))
+            interior_face_witness(3, 2, 1)
         with pytest.raises(ValueError):
-            interior_face_witness(3, 3, 3, edgewise(simplex(2), 3))
+            interior_face_witness(3, 3, 3)
+
+
+class TestLabelRulesAgainstConstruction:
+    """On every nonempty face of edgewise(simplex(d-1), r) for d <= 4 and
+    r <= d+1, the label rule and the star link match the constructed
+    subdivision."""
+
+    @staticmethod
+    def faces():
+        for d in (2, 3, 4):
+            for r in range(1, d + 2):
+                sub = edgewise(simplex(d - 1), r)
+                bdry = ridge_boundary(sub).face_set
+                for k in range(sub.dim + 1):
+                    for f in sub.faces_of_dim(k):
+                        yield sub, bdry, f, tuple(sub.labels[v] for v in f)
+
+    def test_face_count(self):
+        assert sum(1 for _ in self.faces()) == 1504
+
+    def test_label_rule_is_the_ridge_count(self):
+        for _, bdry, f, labels in self.faces():
+            assert interior_face_check(labels) == _interior_by_ridges(bdry, f)
+
+    def test_star_link_is_the_link(self):
+        for sub, _, f, labels in self.faces():
+            assert edgewise_link(labels) == sub.link(f)
+
+    def test_non_face_rejected(self):
+        with pytest.raises(ValueError):
+            edgewise_link(((3, 0, 0), (0, 0, 3)))
