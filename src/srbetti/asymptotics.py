@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import count, product
 from math import comb, factorial
 from typing import NamedTuple
 
@@ -21,7 +21,15 @@ from .complexes import (
     stacked_attach,
     stacked_sphere,
 )
-from .homology import GF2, boundary_matrix, kernel_basis, top_homology_nonzero
+from .homology import (
+    GF2,
+    FieldSpec,
+    _is_prime,
+    boundary_matrix,
+    kernel_basis,
+    rank_exact,
+    top_homology_nonzero,
+)
 from .formulas import predict_strand_bary, predict_strand_edgewise
 from .hochster import DEFAULT_VERTEX_GATE, graded_betti_table
 from .subdivision import subdivide
@@ -225,6 +233,19 @@ def minimal_top_cycle(c, field=GF2):
     return MinimalCycle(coefficients=coeff_map, induced=induced, f=f)
 
 
+def _cycle_field(c, field):
+    """The prime field whose minimal top cycle serves `field`: field itself
+    when it is GF(p), and over Q the smallest GF(p) in which the top
+    boundary of c keeps its rational rank, so that the top cycle spaces
+    have equal dimension."""
+    if field.p:
+        return field
+    mat = boundary_matrix(c, c.dim, field)
+    rank = rank_exact(mat)
+    return next(FieldSpec(p) for p in count(2) if _is_prime(p)
+                and rank_exact(mat._replace(field=FieldSpec(p))) == rank)
+
+
 def last_strand_limit(c, field=GF2):
     """Limiting fraction of nonzero entries in the last strand under
     iterated subdivision: 1 - f_top(minimal cycle) / f_top(c).
@@ -275,10 +296,12 @@ def verify_last_strand(c, r, field, mode="bary",
     The minimal top cycle of c over `field` spans a support complex whose
     subdivision keeps carrying top homology; with V the vertex count of the
     subdivided support on its own vertices, beta_{i,i+d} must be nonzero
-    for V - d <= i <= pdim.  Over Q the GF(2) minimal cycle serves when its
-    support carries a rational top cycle: a primitive integer cycle
-    reduces mod 2 to a GF(2) cycle on a sub-support, so the minimal
-    f-vectors agree.  Within the vertex
+    for V - d <= i <= pdim.  Over Q the minimal cycle is taken over the
+    smallest GF(p) in which the top boundary keeps its rational rank
+    (`_cycle_field`), so every GF(p) top cycle lifts to an integer one.  It
+    serves when its support carries a rational top cycle: a primitive
+    integer cycle reduces mod p to a GF(p) cycle on a sub-support, so the
+    minimal f-vectors agree.  Within the vertex
     gate, checked against `vertex_count(c, mode, r)`, the window is read
     off the full table, and zeros below it are reported as observations.
     Above it sd^r(c) is never built, and one rank certifies the whole
@@ -293,7 +316,7 @@ def verify_last_strand(c, r, field, mode="bary",
     Raises ValueError when c has no top homology over `field`, where the
     theorem does not apply; either table read here has reg = d exactly
     when that homology is nonzero, so this costs no rank.  Over Q it also
-    raises when the GF(2) minimal support carries no rational top cycle.
+    raises when the GF(p) minimal support carries no rational top cycle.
     """
     d = c.dim + 1
     n = vertex_count(c, mode, r)
@@ -305,11 +328,12 @@ def verify_last_strand(c, r, field, mode="bary",
     if table.reg() < d:
         raise ValueError(f"no top homology over {field}: the last-strand "
                          f"theorem does not apply")
-    mc = minimal_top_cycle(c, field if field.p else GF2)
+    prime = _cycle_field(c, field)
+    mc = minimal_top_cycle(c, prime)
     support = mc.induced.induced({v for f in mc.induced.facets for v in f})
     if not (field.p or top_homology_nonzero(support, field)):
-        raise ValueError("Q window unknown: the GF(2) minimal top cycle's "
-                         "support carries no rational top cycle")
+        raise ValueError(f"Q window unknown: the {prime} minimal top cycle's "
+                         f"support carries no rational top cycle")
     v_sigma = vertex_count(support, mode, r)
     lo = v_sigma - d
     zeros, nonzeros = [], []

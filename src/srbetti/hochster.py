@@ -1,10 +1,12 @@
 """Graded Betti numbers of Stanley-Reisner rings via Hochster's formula.
 
 beta_{i,i+j} is the sum over all vertex subsets W of size i+j of the
-reduced homology rank of the induced subcomplex in degree j-1.  The table
-is assembled by enumerating every subset of the ambient vertex set, so the
-vertex count is gated; above the gate only witness certificates are
-available.
+reduced homology rank of the induced subcomplex in degree j-1.  A ghost g,
+an ambient id in no face, is a generator x_g of the Stanley-Reisner ideal:
+k[Delta] is k[Delta without g] tensor k[x_g]/(x_g), so g adds the table
+shifted one step in i along every strand.  The table enumerates the subsets
+of the ids in faces, then shifts once per ghost.  The gate counts all
+ambient ids; above it only witness certificates are available.
 
 The subset loop keeps a small id of the reduced homology of each induced
 subcomplex Delta_W.  For v in W, Delta_W is Delta_{W-v} glued to the star
@@ -15,12 +17,12 @@ b~_1(Delta_W) = b~_1(Delta_{W-v}) + k - 1 - c(W-v) + c(W), with c counting
 components; this holds for empty L (k = 0) too.  When L is acyclic the
 step copies W - v's id; a cone L, where v is dominated and Delta_W
 strong-collapses onto Delta_{W-v} (Barmak and Minian, 2012), is one such
-case.  A ghost (in no face) always copies.  One rule, `_mv_betti`, makes
-every other step.  W - v's homology and L's class fix c(W) in two cases,
-over every field: if v has no neighbour in W (k = 0), c(W) = c(W-v) + 1;
-if k >= 2 and Delta_{W-v} is nonempty and connected, c(W) = 1 and b~_1
-grows by k - 1; elsewhere the step counts components.  Only W where every
-vertex link has higher homology is ranked.
+case.  One rule, `_mv_betti`, makes every other step.  W - v's homology
+and L's class fix c(W) in two cases, over every field: if v has no
+neighbour in W (k = 0), c(W) = c(W-v) + 1; if k >= 2 and Delta_{W-v} is
+nonempty and connected, c(W) = 1 and b~_1 grows by k - 1; elsewhere the
+step counts components.  Only W where every vertex link has higher
+homology is ranked.
 
 The loop visits W in lowest-vertex-major order.  The W whose lowest vertex
 is v form a vertex block, and these run from the top vertex down, so every
@@ -53,12 +55,13 @@ the boundaries of 2-faces and up.
 
 The homology of each W depends on W alone, and the table adds up (#W,
 homology) counts, so any partition of the subsets sums to the table.  It
-uses aligned blocks lo + [0, 2^m), 2^m = min(2^n, 2^BLOCK_BITS) at every
-worker count, each with fresh loop state but for the link classes.  A
-block varies only the vertices below m and steps only from W - v inside
-itself, so it ranks W = lo outright; its ids take 4·2^m bytes at any n.
-From two blocks on, min(workers, CPUs, blocks) forked processes share the
-blocks, each sent the payload once; else they run in this process.
+uses aligned blocks lo + [0, 2^m), 2^m = min(2^n, 2^BLOCK_BITS) for n ids
+in faces, at every worker count, each with fresh loop state but for the
+link classes.  A block varies only the vertices below m and steps only
+from W - v inside itself, so it ranks W = lo outright; its ids take 4·2^m
+bytes at any n.  From two blocks on, min(workers, CPUs, blocks) forked
+processes share the blocks, each sent the payload once; else they run in
+this process.
 """
 
 from __future__ import annotations
@@ -137,13 +140,12 @@ class _Payload(NamedTuple):
     masks[k] holds the vertex masks of the k-faces and bnds[k] their
     boundary columns, `boundary_matrix(c, k).columns`: the indices of each
     face's facets among the (k-1)-faces.  nbr[v] is the neighbour bitmask
-    of v, which also gives the components of Delta_W, and ghost the mask of
-    ghost vertices (in no face).  links[v] is (masks, bnds, nbr) of
-    lk(v) on the same ambient ids, None for a ghost; its induced
-    subcomplex on W & N(v) is the link of v in Delta_W, whose class decides
-    the Mayer-Vietoris step; the loop computes it once per W & N(v).
-    `graded_betti_table` builds the payload after labelling the vertices
-    by ascending degree, so that each has few neighbours above it.
+    of v, which also gives the components of Delta_W.  links[v] is (masks,
+    bnds, nbr) of lk(v) on the same ids; its induced subcomplex on W & N(v)
+    is the link of v in Delta_W, whose class decides the Mayer-Vietoris
+    step; the loop computes it once per W & N(v).
+    `graded_betti_table` builds the payload on the ids that lie in faces,
+    labelled by ascending degree, so that each has few neighbours above it.
     """
 
     n: int
@@ -151,7 +153,6 @@ class _Payload(NamedTuple):
     bnds: tuple
     field: FieldSpec
     nbr: tuple
-    ghost: int
     links: tuple
 
 
@@ -166,19 +167,16 @@ def _levels(c, field):
 
 
 def _payload(c, field):
-    """The `_Payload` of c over field."""
+    """The `_Payload` over field of c, every id of which lies in a face."""
     n = c.n
     masks, bnds, nbr = _levels(c, field)
-    live = sum(masks[0]) if masks else 0   # the vertices that lie in faces
-    ghost = ((1 << n) - 1) ^ live
     # facets through v minus v are an antichain: the facets of lk(v)
     links = tuple(
-        None if ghost >> v & 1 else
         _levels(SimplicialComplex(n, [tuple(u for u in f if u != v)
                                       for f in c.facets if v in f],
                                   assume_reduced=True), field)
         for v in range(n))
-    return _Payload(n, masks, bnds, field, nbr, ghost, links)
+    return _Payload(n, masks, bnds, field, nbr, links)
 
 
 _COPY, _HIGHER = 1, 2   # link classes; 3 + k: k components, nothing higher
@@ -316,8 +314,7 @@ def _accumulate(payload, lo, hi, known):
     to its own; then the vertex block joins the tally.  The tally costs a
     pass over the rewritten W, not over every W.
     """
-    n, masks, bnds, field, nbr, ghost, links = payload
-    live = ((1 << n) - 1) & ~ghost
+    _, masks, bnds, field, nbr, links = payload
     shift = _ID_SHIFT
     part = (1 << shift) - 1
     m = (hi - lo).bit_length() - 1
@@ -364,10 +361,10 @@ def _accumulate(payload, lo, hi, known):
                 mv, d = b, du
         if mv:
             return key(_mv_betti(bettis[memo[h ^ mv] >> shift], d,
-                                 _components(w & live, nbr)))
-        return key(_induced_betti(w & live, masks, bnds, nbr, field))
+                                 _components(w, nbr)))
+        return key(_induced_betti(w, masks, bnds, nbr, field))
 
-    memo[0] = key(_induced_betti(lo & live, masks, bnds, nbr, field))
+    memo[0] = key(_induced_betti(lo, masks, bnds, nbr, field))
     # id << shift | #(W - lo) -> subsets, over every W whose block is done
     tally = {memo[0]: 1}
     for v in range(m - 1, -1, -1):
@@ -417,7 +414,7 @@ def _accumulate(payload, lo, hi, known):
 
 def _blocks(payload, starts, size):
     """Entries of the blocks [lo, lo + size), lo in starts, sharing link classes."""
-    known = [{0: _COPY} if payload.ghost >> v & 1 else {} for v in range(payload.n)]
+    known = [{} for _ in range(payload.n)]
     entries = Counter()
     for lo in starts:
         entries.update(_accumulate(payload, lo, lo + size, known))
@@ -427,21 +424,22 @@ def _blocks(payload, starts, size):
 def graded_betti_table(c, field=QQ, vertex_gate=DEFAULT_VERTEX_GATE, workers=1):
     """Complete graded Betti table of the Stanley-Reisner ring of c.
 
-    Enumerates all 2^n vertex subsets; refuse above `vertex_gate`.  They
-    run in aligned blocks of min(2^n, 2^BLOCK_BITS), in this process or,
-    from two blocks on, in min(workers, os.cpu_count(), blocks) processes;
-    the blocks, so the table and the ranked subsets, ignore `workers`.
+    Refuses above `vertex_gate` ambient ids.  Enumerates the 2^m subsets
+    of the m ids that lie in faces, in aligned blocks of min(2^m,
+    2^BLOCK_BITS), in this process or, from two blocks on, in min(workers,
+    os.cpu_count(), blocks) processes; the blocks, so the table and the
+    ranked subsets, ignore `workers`.  Each of the n - m ghosts then adds
+    the table shifted one step in i.
     """
     check_vertex_gate(c.n, vertex_gate)
     # Hochster sums ignore labels: ascending degree leaves each vertex few
     # neighbours above it, so its vertex block classifies few link patterns
     deg = _adjacency(c)
-    label = {v: i for i, v in enumerate(sorted(range(c.n),
-                                               key=lambda v: deg[v].bit_count()))}
-    payload = _payload(SimplicialComplex(c.n, [tuple(label[v] for v in f)
-                                               for f in c.facets],
-                                         assume_reduced=True), field)
-    total = 1 << c.n
+    live = sorted(set().union(*c.facets), key=lambda v: (deg[v].bit_count(), v))
+    label = {v: i for i, v in enumerate(live)}
+    facets = [tuple(label[v] for v in f) for f in c.facets]
+    payload = _payload(SimplicialComplex(len(live), facets, assume_reduced=True), field)
+    total = 1 << len(live)
     size = min(total, 1 << BLOCK_BITS)
     starts = range(0, total, size)
     procs = min(workers, os.cpu_count() or 1, len(starts))
@@ -453,6 +451,8 @@ def graded_betti_table(c, field=QQ, vertex_gate=DEFAULT_VERTEX_GATE, workers=1):
         with multiprocessing.get_context("fork").Pool(procs) as pool:
             entries = sum(pool.starmap(_blocks, [(payload, starts[i::procs], size)
                                                  for i in range(procs)]), Counter())
+    for _ in range(c.n - len(live)):
+        entries += Counter({(i + 1, j): b for (i, j), b in entries.items()})
     return BettiTable(n=c.n, field=field, entries=dict(entries))
 
 

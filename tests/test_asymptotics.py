@@ -520,14 +520,37 @@ class TestVerifyLastStrand:
         if method == "full_table":
             assert rep["zeros_below_window"] == [0, 1, 2, 3, 4]
 
-    @pytest.mark.parametrize("r, vertex_gate", [(1, 22), (2, 12)],
-                             ids=["r1-table", "r2-witnesses"])
-    def test_q_refuses_a_gf2_support_without_a_rational_cycle(self, r,
-                                                               vertex_gate):
-        # the GF(2) minimal cycle is RP^2, which carries no rational one
-        with pytest.raises(ValueError, match="Q window unknown"):
-            verify_last_strand(_rp2_glued_to_sphere(), r, QQ, mode="edgewise",
-                               vertex_gate=vertex_gate)
+    @pytest.mark.parametrize("r, vertex_gate, method, v_sigma, window", [
+        (1, 22, "full_table", 8, (5, 9)), (2, 12, "witnesses", 26, (23, 41))],
+        ids=["r1-table", "r2-witnesses"])
+    def test_q_takes_a_rank_keeping_prime(self, r, vertex_gate, method, v_sigma,
+                                          window):
+        # the top boundary loses rank mod 2 (RP^2 is a GF(2) cycle) but not
+        # mod 3, so Q takes the GF(3) minimal cycle, the sphere, and reports
+        # what GF(3) reports
+        c = _rp2_glued_to_sphere()
+        assert asymptotics._cycle_field(c, QQ) == FieldSpec.prime(3)
+        assert asymptotics.minimal_top_cycle(c, FieldSpec.prime(3)).f == (1, 8, 18, 12)
+        rep = verify_last_strand(c, r, QQ, mode="edgewise", vertex_gate=vertex_gate)
+        assert (rep["method"], rep["v_sigma"]) == (method, v_sigma)
+        assert rep["window"] == window and rep["window_nonzero"]
+        gf3 = verify_last_strand(c, r, FieldSpec.prime(3), mode="edgewise",
+                                 vertex_gate=vertex_gate)
+        assert rep == {**gf3, "field": "Q"}
+
+    @pytest.mark.parametrize("field, prime", [
+        (GF2, GF2), (FieldSpec.prime(3), FieldSpec.prime(3)), (QQ, GF2)], ids=str)
+    def test_cycle_field_of_a_torsion_free_complex(self, pendants, field, prime):
+        # a graph's top boundary has the same rank over every field
+        assert asymptotics._cycle_field(pendants, field) == prime
+
+    def test_q_refuses_a_support_without_a_rational_cycle(self, pendants,
+                                                          monkeypatch):
+        # the guard on the support, forced: its message names the prime
+        monkeypatch.setattr(asymptotics, "top_homology_nonzero",
+                            lambda c, field: False)
+        with pytest.raises(ValueError, match=r"Q window unknown: the GF\(2\)"):
+            verify_last_strand(pendants, 1, QQ)
 
     def test_witness_mode_ranks_once(self, pendants, monkeypatch):
         """Top cycles survive adding vertices, so one rank on the

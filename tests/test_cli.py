@@ -383,12 +383,12 @@ def test_verify_reg_honours_gate(capsys, monkeypatch):
 
 
 # (fixture, reg after sd over Q, over GF(2), edgewise r, reg after it over
-# Q, over GF(2)); the edgewise r is max(d, 2)
+# Q, over GF(2), t1 after it); the edgewise r is max(d, 2)
 REG_REPORT = [
-    ("edge", 1, 1, 2, 1, 1),
-    ("triangle-boundary", 2, 2, 2, 2, 2),
-    ("hexagon", 2, 2, 2, 2, 2),
-    ("projective-plane", 2, 3, 3, 2, 3),
+    ("edge", 1, 1, 2, 1, 1, 2),
+    ("triangle-boundary", 2, 2, 2, 2, 2, 2),
+    ("hexagon", 2, 2, 2, 2, 2, 2),
+    ("projective-plane", 2, 3, 3, 2, 3, 2),
 ]
 
 
@@ -397,14 +397,50 @@ def test_verify_reg_report(capsys, gate):
     code, out, _ = run(capsys, "verify", "reg", *gate)
     assert code == 0
     expected = []
-    for name, sd_q, sd_2, r, ew_q, ew_2 in REG_REPORT:
+    for name, sd_q, sd_2, r, ew_q, ew_2, t1 in REG_REPORT:
         for field, sd, ew in (("Q", sd_q, ew_q), ("GF(2)", sd_2, ew_2)):
             expected.append((f"reg after barycentric {name} {field}", "PASS",
                              {"predicted": sd, "got": sd}))
             expected.append((f"reg after edgewise r={r} {name} {field}", "PASS",
                              {"predicted": ew, "got": ew}))
+        expected.append((f"t1 after edgewise r={r} {name}", "PASS",
+                         {"predicted": t1, "got": t1}))
     assert [(it["name"], it["status"], it["detail"])
             for it in json.loads(out)["checks"]] == expected
+
+
+def test_verify_reg_fails_a_wrong_t1_prediction(capsys, monkeypatch):
+    from srbetti import formulas
+
+    monkeypatch.setattr(formulas, "predict_t1_edgewise", lambda c, r: 3)
+    code, out, _ = run(capsys, "verify", "reg")
+    failed = [it["name"] for it in json.loads(out)["checks"]
+              if it["status"] == "FAIL"]
+    assert code == 1
+    assert failed == [f"t1 after edgewise r={r} {name}"
+                      for name, _, _, r, *_ in REG_REPORT]
+
+
+def test_verify_limits_reports_a_matrix_that_fails_to_diagonalize(capsys,
+                                                                   monkeypatch):
+    # M[1][0] = 1 repeats the eigenvalue 1 in a Jordan block: eigendecompose
+    # raises, and the suite reports FAIL (exit 1), not bad input (exit 2)
+    from srbetti import asymptotics
+
+    build = asymptotics.sd_transfer_matrix
+
+    def jordan(d):
+        mat = [list(row) for row in build(d)]
+        if d == 2:
+            mat[1][0] = 1
+        return mat
+
+    monkeypatch.setattr(asymptotics, "sd_transfer_matrix", jordan)
+    code, out, _ = run(capsys, "verify", "limits")
+    failed = [it["name"] for it in json.loads(out)["checks"]
+              if it["status"] == "FAIL"]
+    assert code == 1
+    assert failed == ["transfer matrix diagonalizes d=2"]
 
 
 def test_selftest(capsys):
