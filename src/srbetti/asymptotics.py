@@ -246,15 +246,33 @@ def _cycle_field(c, field):
                 and rank_exact(mat._replace(field=FieldSpec(p))) == rank)
 
 
+def _minimal_support(c, field):
+    """The support complex, on its own vertices, of the minimal top cycle
+    that serves `field`: the one over `_cycle_field(c, field)`.
+
+    Over Q that GF(p) cycle serves when its support carries a rational top
+    cycle: every GF(p) top cycle lifts to an integer one, and a primitive
+    integer cycle reduces mod p to a GF(p) cycle on a sub-support, so the
+    minimal f-vectors agree.  Raises ValueError when it carries none.
+    """
+    prime = _cycle_field(c, field)
+    mc = minimal_top_cycle(c, prime)
+    support = mc.induced.induced({v for f in mc.induced.facets for v in f})
+    if not (field.p or top_homology_nonzero(support, field)):
+        raise ValueError(f"Q window unknown: the {prime} minimal top cycle's "
+                         f"support carries no rational top cycle")
+    return support
+
+
 def last_strand_limit(c, field=GF2):
     """Limiting fraction of nonzero entries in the last strand under
-    iterated subdivision: 1 - f_top(minimal cycle) / f_top(c).
+    iterated subdivision: 1 - f_top(minimal cycle) / f_top(c), with the
+    minimal cycle that serves `field` (`_minimal_support`).
 
     The same value covers barycentric and edgewise subdivision.
     """
-    mc = minimal_top_cycle(c, field)
-    f = c.f_vector()
-    return Fraction(1) - Fraction(mc.f[-1], f[-1])
+    top = _minimal_support(c, field).f_vector()[-1]
+    return Fraction(1) - Fraction(top, c.f_vector()[-1])
 
 
 def limit_ratio_example(d, p, q, scale):
@@ -298,12 +316,9 @@ def verify_last_strand(c, r, field, mode="bary",
     subdivided support on its own vertices, beta_{i,i+d} must be nonzero
     for V - d <= i <= pdim.  Over Q the minimal cycle is taken over the
     smallest GF(p) in which the top boundary keeps its rational rank
-    (`_cycle_field`), so every GF(p) top cycle lifts to an integer one.  It
-    serves when its support carries a rational top cycle: a primitive
-    integer cycle reduces mod p to a GF(p) cycle on a sub-support, so the
-    minimal f-vectors agree.  Within the vertex
-    gate, checked against `vertex_count(c, mode, r)`, the window is read
-    off the full table, and zeros below it are reported as observations.
+    (`_minimal_support`).  Within the vertex gate, checked against
+    `vertex_count(c, mode, r)`, the window is read off the full table, and
+    zeros below it are reported as observations.
     Above it sd^r(c) is never built, and one rank certifies the whole
     window: a (d-1)-complex has no d-faces, so Z_{d-1}(Delta_W) lies in
     Z_{d-1}(Delta_W') whenever W lies in W'.  The subdivided support, built
@@ -328,12 +343,7 @@ def verify_last_strand(c, r, field, mode="bary",
     if table.reg() < d:
         raise ValueError(f"no top homology over {field}: the last-strand "
                          f"theorem does not apply")
-    prime = _cycle_field(c, field)
-    mc = minimal_top_cycle(c, prime)
-    support = mc.induced.induced({v for f in mc.induced.facets for v in f})
-    if not (field.p or top_homology_nonzero(support, field)):
-        raise ValueError(f"Q window unknown: the {prime} minimal top cycle's "
-                         f"support carries no rational top cycle")
+    support = _minimal_support(c, field)
     v_sigma = vertex_count(support, mode, r)
     lo = v_sigma - d
     zeros, nonzeros = [], []

@@ -9,17 +9,18 @@ Chain degree -1 is the span of the empty face, so homology is reduced and
 the complex that contains only the empty face has one unit of homology in
 degree -1.
 
-Rank computations are exact everywhere: fraction-free integer elimination
-over Q, bitset elimination over GF(2), and modular elimination over GF(p).
-`boundary_rank` is the one place that picks the kernel for a field, for
-whole boundary matrices and for the induced subcomplexes of the Hochster
-loop alike.  One row reduction, `_eliminate`, serves the ranks over Q and
-GF(p) and, with its Jordan pass mod p, the kernel bases, which are computed
-over GF(p) only.
+Rank computations are exact everywhere: over Q, elimination modulo a
+prime above Hadamard's bound; bitset elimination over GF(2); modular
+elimination over GF(p).  `boundary_rank` is the one place that picks the
+kernel for a field, for whole boundary matrices and for the induced
+subcomplexes of the Hochster loop alike.  One row reduction mod a prime,
+`_eliminate`, serves the ranks over Q and GF(p) and, with its Jordan pass,
+the kernel bases, which are computed over GF(p) only.
 """
 
 from __future__ import annotations
 
+from math import prod
 from typing import NamedTuple
 
 
@@ -119,64 +120,62 @@ def gf2_rank(columns):
     return rank
 
 
-def _eliminate(m, p, jordan):
-    """Row-reduce the dense matrix m in place; return its pivot columns.
+# exponents e of the Mersenne primes 2^e - 1 from 2^31 - 1 up, ascending
+_MERSENNE = (31, 61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423)
 
-    p == 0: fraction-free (Bareiss) elimination over Z, every division
-    exact; p prime: elimination mod p on entries already reduced mod p.
+
+def _eliminate(m, p, jordan):
+    """Row-reduce the integer matrix m mod the prime p in place; return its
+    pivot columns.  Entries are read mod p, so any integers may be passed.
+
     Without `jordan` only the pivot columns are wanted, and a pivot's column
-    below it is left as it was.  With `jordan` (mod p only) every pivot
-    column is cleared above and below its pivot, so row k divided by its
-    pivot entry is row k of the reduced echelon form.
+    below it is left as it was.  With `jordan` every pivot column is cleared
+    above and below its pivot, so row k divided by its pivot entry is row k
+    of the reduced echelon form mod p.
     """
     nr = len(m)
     nc = len(m[0]) if nr else 0
     pivots = []
-    prev = 1
     r = 0
     for c in range(nc):
         piv = r
-        while piv < nr and not m[piv][c]:
+        while piv < nr and not m[piv][c] % p:
             piv += 1
         if piv == nr:
             continue
-        row_r = m[piv]
-        m[piv] = m[r]
-        m[r] = row_r
-        pv = row_r[c]
+        m[r], m[piv] = m[piv], m[r]
+        row_r = m[r]
+        inv = pow(row_r[c], -1, p)
         others = [*range(r), *range(r + 1, nr)] if jordan else range(r + 1, nr)
-        if p:
-            # the pivot row is zero left of c, so updates may start at c
-            inv = pow(pv, p - 2, p)
-            for i in others:
-                row_i = m[i]
-                fi = row_i[c]
-                if fi:
-                    mult = fi * inv % p
-                    for j in range(c, nc):
-                        row_i[j] = (row_i[j] - mult * row_r[j]) % p
-        else:
-            for i in others:
-                row_i = m[i]
-                fi = row_i[c]
-                for j in range(c + 1, nc):
-                    row_i[j] = (row_i[j] * pv - fi * row_r[j]) // prev
-            prev = pv
+        # the pivot row is zero mod p left of c, so updates may start at c
+        for i in others:
+            row_i = m[i]
+            fi = row_i[c] % p
+            if fi:
+                mult = fi * inv % p
+                for j in range(c, nc):
+                    row_i[j] = (row_i[j] - mult * row_r[j]) % p
         pivots.append(c)
         r += 1
-        if r == nr:
-            break
     return pivots
 
 
 def int_rank(rows):
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
-    return len(_eliminate([list(r) for r in rows], 0, False))
+    """Rank over Q of an integer matrix: its rank mod the first tabulated
+    Mersenne prime p above Hadamard's bound H on its minors, the product of
+    the min(rows, cols) largest column norms, each taken at least 1.  A
+    nonzero minor M has |M| <= H < p, so it stays nonzero mod p."""
+    m = [list(r) for r in rows]
+    h2 = prod(sorted([sum(x * x for x in c) or 1 for c in zip(*m)])[-len(m):])
+    p = next((q for e in _MERSENNE if (q := (1 << e) - 1) ** 2 > h2), None)
+    if p is None:
+        raise ValueError("rank over Q: Hadamard's bound exceeds 2^4423 - 1")
+    return len(_eliminate(m, p, False))
 
 
 def gfp_rank(rows, p):
     """Rank over GF(p) of an integer matrix."""
-    return len(_eliminate([[x % p for x in r] for r in rows], p, False))
+    return len(_eliminate([list(r) for r in rows], p, False))
 
 
 def nullspace(rows, nc, p):
@@ -185,14 +184,14 @@ def nullspace(rows, nc, p):
     the other free columns, with entries in 0..p-1."""
     if not p:
         raise ValueError("kernel bases are computed over GF(p) only")
-    m = [[x % p for x in r] for r in rows]
+    m = [list(r) for r in rows]
     pivots = _eliminate(m, p, True)
     basis = []
     for fc in sorted(set(range(nc)) - set(pivots)):
         v = [0] * nc
         v[fc] = 1
         for row, pc in zip(m, pivots):
-            v[pc] = -row[fc] * pow(row[pc], p - 2, p) % p
+            v[pc] = -row[fc] * pow(row[pc], -1, p) % p
         basis.append(v)
     return basis
 

@@ -396,6 +396,37 @@ class TestLastStrandLimit:
                     c = limit_ratio_example(d, p, q, scale)
                     assert last_strand_limit(c) == Fraction(p, q)
 
+    @pytest.mark.parametrize("c, ratio", [
+        (cycle(10), 0), (limit_ratio_example(2, 1, 3, 2), Fraction(1, 3)),
+        (limit_ratio_example(3, 1, 3, 2), Fraction(1, 3))],
+        ids=["cycle10", "example-d2", "example-d3"])
+    def test_q_agrees_with_prime_fields(self, c, ratio):
+        for field in (QQ, GF2, FieldSpec.prime(3)):
+            assert last_strand_limit(c, field) == ratio
+
+    def test_q_takes_a_rank_keeping_prime(self):
+        # 22 triangles: the GF(2) minimal cycle is RP^2 (10), while GF(3)
+        # and Q see only the sphere (12)
+        c = _rp2_glued_to_sphere()
+        assert last_strand_limit(c, GF2) == Fraction(6, 11)
+        assert last_strand_limit(c, FieldSpec.prime(3)) == Fraction(5, 11)
+        assert last_strand_limit(c, QQ) == Fraction(5, 11)
+
+    def test_no_top_homology_over_q(self, rp2):
+        assert last_strand_limit(rp2, GF2) == 0
+        for field in (QQ, FieldSpec.prime(3)):
+            with pytest.raises(ValueError, match="no top homology"):
+                last_strand_limit(rp2, field)
+
+    def test_q_refuses_a_support_without_a_rational_cycle(self, pendants,
+                                                          monkeypatch):
+        # the same guard as verify_last_strand's, forced
+        monkeypatch.setattr(asymptotics, "top_homology_nonzero",
+                            lambda c, field: False)
+        with pytest.raises(ValueError, match=r"Q window unknown: the GF\(2\)"):
+            last_strand_limit(pendants, QQ)
+        assert last_strand_limit(pendants, GF2) == Fraction(2, 5)
+
     def test_unrealizable(self):
         with pytest.raises(ValueError):
             limit_ratio_example(2, 1, 2, 1)  # cycle part would have 1 edge

@@ -10,9 +10,9 @@ from math import factorial
 import pytest
 
 import srbetti
-from srbetti import cli, hochster, subdivision
-from srbetti.complexes import (cycle, dumps, loads, simplex, simplex_boundary,
-                               stacked_sphere)
+from srbetti import asymptotics, cli, hochster, subdivision
+from srbetti.complexes import (cycle, dumps, loads, rp2_six, simplex,
+                               simplex_boundary, stacked_sphere)
 from srbetti.subdivision import edgewise
 from test_asymptotics import _stirling_transfer
 
@@ -190,6 +190,27 @@ def test_limits_ratio(capsys, tmp_path):
     code, out, _ = run(capsys, "limits", "ratio", str(p), "--field", "gf2")
     assert code == 0
     assert json.loads(out)["ratio"] == "2/5"
+
+
+@pytest.mark.parametrize("c, ratio", [
+    (cycle(10), "0"), (asymptotics.limit_ratio_example(3, 1, 3, 2), "1/3")],
+    ids=["cycle10", "example-d3"])
+def test_limits_ratio_over_q(capsys, tmp_path, c, ratio):
+    # Q takes its minimal cycle over a prime field that keeps the top rank
+    p = tmp_path / "c.json"
+    p.write_text(dumps(c))
+    outs = [run(capsys, "limits", "ratio", str(p), "--field", f)
+            for f in ("q", "gf2")]
+    assert outs[0] == outs[1] == (0, json.dumps({"ratio": ratio}) + "\n", "")
+
+
+def test_limits_ratio_without_top_homology(capsys, tmp_path):
+    p = tmp_path / "rp2.json"
+    p.write_text(dumps(rp2_six()))
+    for field in ("q", "gf3"):
+        code, out, err = run(capsys, "limits", "ratio", str(p), "--field", field)
+        assert (code, out) == (2, "")
+        assert "no top homology" in err and len(err.splitlines()) == 1
 
 
 def test_strands(capsys, c6_file):

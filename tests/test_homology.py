@@ -185,6 +185,53 @@ class TestRank:
         for p in (2, 3, 5, 7):
             assert gfp_rank(rows, p) == _rank_mod_p(rows, p)
 
+    def test_minors_divisible_by_a_31_bit_prime(self):
+        m31, m61 = (1 << 31) - 1, (1 << 61) - 1
+        # the only nonzero 3 x 3 minor of the second is m31 * m61: the
+        # unimodular left factor mixes the rows, the last column is zero
+        mixed = [[sum(u * x for u, x in zip(urow, col)) for col in
+                  zip([m31, 0, 0, 0], [0, m61, 0, 0], [0, 0, 1, 0])]
+                 for urow in ([1, 2, 3], [0, 1, 4], [0, 0, 1])]
+        for rows, rank in (([[m31, 0], [0, 1]], 2), (mixed, 3)):
+            assert int_rank(rows) == _rank_by_fractions(rows) == rank
+            # a single 31-bit prime loses a pivot
+            assert gfp_rank(rows, m31) == rank - 1
+
+    def test_mersenne_table(self):
+        # Lucas-Lehmer: 2^e - 1 is prime iff s_{e-2} = 0 mod 2^e - 1
+        for e in homology._MERSENNE:
+            m, s = (1 << e) - 1, 4
+            for _ in range(e - 2):
+                s = (s * s - 2) % m
+            assert s == 0, e
+        assert list(homology._MERSENNE) == sorted(set(homology._MERSENNE))
+        assert homology._MERSENNE[0] == 31
+
+    def test_refuses_past_the_table(self):
+        with pytest.raises(ValueError, match="Hadamard"):
+            int_rank([[2 ** 4500]])
+
+    def test_bound_takes_the_largest_columns_only(self):
+        # a bound over all 6,000 columns would be 3^6000 > 2^4423; the
+        # largest three give 27
+        import random
+
+        rng = random.Random(11)
+        rows = [[rng.choice((-1, 1)) for _ in range(6000)] for _ in range(2)]
+        for extra, rank in (([rng.choice((-1, 1)) for _ in range(6000)], 3),
+                            ([-x for x in rows[0]], 2)):
+            full = [*rows, extra]
+            assert int_rank(full) == _rank_by_fractions(full) == rank
+
+    @given(st.integers(1, 5).flatmap(lambda nc: st.lists(
+        st.lists(st.integers(-(1 << 70), 1 << 70), min_size=nc, max_size=nc),
+        min_size=1, max_size=5)))
+    @settings(max_examples=100, deadline=None)
+    def test_large_entries_match_fraction_elimination(self, rows):
+        # products of entries pass 2^61 - 1, so larger primes are taken
+        rows = rows + [[a - b for a, b in zip(rows[0], rows[-1])]]
+        assert int_rank(rows) == _rank_by_fractions(rows)
+
     @given(int_matrices())
     @settings(max_examples=150, deadline=None)
     def test_nullspace(self, rows):
