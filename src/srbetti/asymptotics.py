@@ -223,7 +223,7 @@ def minimal_top_cycle(c, field=GF2):
                     if val:
                         vec[idx] = (vec[idx] + cf * val) % p
         support = [faces[i] for i, v in enumerate(vec) if v]
-        induced = SimplicialComplex(c.n, support, assume_reduced=True)
+        induced = SimplicialComplex(c.n, support)
         f = induced.f_vector()
         key = (tuple(reversed(f)), tuple(support))
         if best is None or key < best[0]:

@@ -7,6 +7,11 @@ face enumeration is cached lazily and gated, because the subset-homology
 machinery re-enumerates faces of many induced subcomplexes and needs the
 ambient complex to stay cheap.
 
+The constructor sorts, checks and deduplicates any facet list, then drops
+every facet contained in another unless all facets have one size: sets of
+one size are an antichain already, so a pure complex, such as a
+subdivision of one, skips that reduction.
+
 Vertices may carry labels (frozenset for subdivision vertices that remember
 a face, tuple for lattice compositions, str for plain names).  Labels are
 payload only: all combinatorics runs on the integer ids.
@@ -25,7 +30,7 @@ class GateError(RuntimeError):
     """A size gate was exceeded; the caller must pick a cheaper route."""
 
 
-def _canonical_facets(facet_list, n, assume_reduced=False):
+def _canonical_facets(facet_list, n):
     seen = set()
     for f in facet_list:
         t = tuple(sorted(f))
@@ -36,20 +41,17 @@ def _canonical_facets(facet_list, n, assume_reduced=False):
         seen.add(t)
     if not seen:
         seen.add(())
-    if assume_reduced or len(seen) == 1:
+    sizes = {len(t) for t in seen}
+    if len(sizes) == 1:  # sets of one size: an antichain already
         return tuple(sorted(seen))
-    # antichain reduction: drop facets dominated by a larger one
-    by_size = sorted(seen, key=len, reverse=True)
+    # antichain reduction: drop facets dominated by a larger one; a facet
+    # of the largest size never is
+    top = max(sizes)
     kept = []
     by_vertex = {}  # vertex -> kept frozensets containing it
-    for t in by_size:
+    for t in sorted(seen, key=len, reverse=True):
         s = frozenset(t)
-        if t:
-            cands = by_vertex.get(t[0], ())
-            dominated = any(s <= k for k in cands)
-        else:
-            dominated = len(kept) > 0
-        if dominated:
+        if len(t) < top and (not t or any(s <= k for k in by_vertex.get(t[0], ()))):
             continue
         kept.append(t)
         for v in t:
@@ -65,11 +67,11 @@ class SimplicialComplex:
         "_faces_by_dim", "_face_set", "_mnf",
     )
 
-    def __init__(self, n, facets, labels=None, vertex_map=None, assume_reduced=False):
+    def __init__(self, n, facets, labels=None, vertex_map=None):
         if n < 0:
             raise ValueError("ambient vertex count must be nonnegative")
         self.n = n
-        self.facets = _canonical_facets(facets, n, assume_reduced)
+        self.facets = _canonical_facets(facets, n)
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != n:
@@ -155,12 +157,7 @@ class SimplicialComplex:
         if w and (w[0] < 0 or w[-1] >= self.n):
             raise ValueError("vertex set not contained in ambient range")
         wset = set(w)
-        old_to_new = {v: i for i, v in enumerate(w)}
-        cand = [tuple(old_to_new[v] for v in f if v in wset) for f in self.facets]
-        labels = None
-        if self.labels is not None:
-            labels = tuple(self.labels[v] for v in w)
-        return SimplicialComplex(len(w), cand, labels=labels, vertex_map=tuple(w))
+        return self._relabeled(w, [tuple(v for v in f if v in wset) for f in self.facets])
 
     def link(self, face):
         """Faces disjoint from `face` whose union with it is a face.
@@ -174,18 +171,18 @@ class SimplicialComplex:
         fset = set(face)
         link_facets = [tuple(v for v in g if v not in fset)
                        for g in self.facets if fset <= set(g)]
-        sup = sorted({v for g in link_facets for v in g})
-        old_to_new = {v: i for i, v in enumerate(sup)}
+        return self._relabeled(sorted({v for g in link_facets for v in g}), link_facets)
+
+    def _relabeled(self, support, facets):
+        """The complex of `facets`, given on old ids, on the ascending id
+        list `support`, which becomes its vertex_map; labels follow."""
+        old_to_new = {v: i for i, v in enumerate(support)}
         labels = None
         if self.labels is not None:
-            labels = tuple(self.labels[v] for v in sup)
+            labels = tuple(self.labels[v] for v in support)
         return SimplicialComplex(
-            len(sup),
-            [tuple(old_to_new[v] for v in g) for g in link_facets],
-            labels=labels,
-            vertex_map=tuple(sup),
-            assume_reduced=True,
-        )
+            len(support), [tuple(old_to_new[v] for v in f) for f in facets],
+            labels=labels, vertex_map=tuple(support))
 
     # -- non-faces ---------------------------------------------------------
 

@@ -170,11 +170,10 @@ def _payload(c, field):
     """The `_Payload` over field of c, every id of which lies in a face."""
     n = c.n
     masks, bnds, nbr = _levels(c, field)
-    # facets through v minus v are an antichain: the facets of lk(v)
+    # facets through v minus v: the facets of lk(v)
     links = tuple(
         _levels(SimplicialComplex(n, [tuple(u for u in f if u != v)
-                                      for f in c.facets if v in f],
-                                  assume_reduced=True), field)
+                                      for f in c.facets if v in f]), field)
         for v in range(n))
     return _Payload(n, masks, bnds, field, nbr, links)
 
@@ -438,7 +437,7 @@ def graded_betti_table(c, field=QQ, vertex_gate=DEFAULT_VERTEX_GATE, workers=1):
     live = sorted(set().union(*c.facets), key=lambda v: (deg[v].bit_count(), v))
     label = {v: i for i, v in enumerate(live)}
     facets = [tuple(label[v] for v in f) for f in c.facets]
-    payload = _payload(SimplicialComplex(len(live), facets, assume_reduced=True), field)
+    payload = _payload(SimplicialComplex(len(live), facets), field)
     total = 1 << len(live)
     size = min(total, 1 << BLOCK_BITS)
     starts = range(0, total, size)

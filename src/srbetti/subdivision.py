@@ -38,22 +38,20 @@ def barycentric(c):
     New vertices are the nonempty faces, labeled by the frozenset of the
     underlying vertex ids; faces are the chains under inclusion.  Labels of
     the input are deliberately not nested into the new labels, so iterated
-    subdivision keeps labels one level deep.
+    subdivision keeps labels one level deep.  Each facet g of c becomes
+    |g|! facets; above FACE_GATE in all, GateError is raised before
+    anything is built.
     """
+    if sum(factorial(len(g)) for g in c.facets) > FACE_GATE:
+        raise GateError("iterated subdivision exceeds the face gate")
+    # faces by size, then lex: ids ascend along every chain of prefixes
     verts = [f for k in range(c.dim + 1) for f in c.faces_of_dim(k)]
-    verts.sort(key=lambda f: (len(f), f))
-    vid = {f: i for i, f in enumerate(verts)}
-    labels = tuple(frozenset(f) for f in verts)
-    facets = []
-    for g in c.facets:
-        if not g:
-            continue
-        for perm in permutations(g):
-            chain = tuple(sorted(vid[tuple(sorted(perm[:i]))] for i in range(1, len(g) + 1)))
-            facets.append(chain)
-    if not facets:
+    if not verts:
         return SimplicialComplex(0, [()])
-    return SimplicialComplex(len(verts), facets, labels=labels, assume_reduced=True)
+    vid = {sum(1 << v for v in f): i for i, f in enumerate(verts)}
+    facets = [tuple(vid[m] for m in accumulate(1 << v for v in perm))
+              for g in c.facets for perm in permutations(g)]
+    return SimplicialComplex(len(verts), facets, labels=tuple(map(frozenset, verts)))
 
 
 def barycentric_iter(c, r):
@@ -61,8 +59,6 @@ def barycentric_iter(c, r):
     if r < 0:
         raise ValueError("subdivision depth must be nonnegative")
     for _ in range(r):
-        if sum_factorial_facets(c) > FACE_GATE:
-            raise GateError("iterated subdivision exceeds the face gate")
         c = barycentric(c)
     return c
 
@@ -75,10 +71,6 @@ def subdivide(c, mode, r):
     if mode == "edgewise":
         return edgewise(c, r)
     raise ValueError(f"unknown subdivision mode {mode!r}")
-
-
-def sum_factorial_facets(c):
-    return sum(factorial(len(g)) for g in c.facets)
 
 
 def _chains(r, bases):
@@ -140,7 +132,7 @@ def edgewise_link(face):
     verts = sorted({a for g in link_facets for a in g}, reverse=True)
     vid = {a: i for i, a in enumerate(verts)}
     return SimplicialComplex(len(verts), [[vid[a] for a in g] for g in link_facets],
-                             labels=tuple(verts), assume_reduced=True)
+                             labels=tuple(verts))
 
 
 def edgewise(c, r):
@@ -175,7 +167,7 @@ def edgewise(c, r):
     verts = sorted({a for f in lifted for a in f}, reverse=True)
     vid = {a: i for i, a in enumerate(verts)}
     return SimplicialComplex(len(verts), [[vid[a] for a in f] for f in lifted],
-                             labels=tuple(verts), assume_reduced=True)
+                             labels=tuple(verts))
 
 
 # -- interiority -------------------------------------------------------------

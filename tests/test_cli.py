@@ -221,6 +221,18 @@ def test_strands(capsys, c6_file):
     assert blob["strands"]["1"] == {"l": 1, "u": 3, "zeros": []}
 
 
+@pytest.mark.parametrize("suite", ["mj", "appendix"])
+def test_verify_dmax_is_gated(capsys, suite):
+    # the admissible sequences of d grow like its partitions, so a run
+    # stops at the first d past the gate instead of running without bound
+    from srbetti.formulas import SEQUENCE_GATE
+
+    code, out, err = run(capsys, "verify", suite, "--dmax", "1000")
+    assert code == 2 and out == ""
+    assert err == (f"gate: admissible sequences gated at d <= {SEQUENCE_GATE}, "
+                   f"got d={SEQUENCE_GATE + 1}\n")
+
+
 def test_verify_mj(capsys):
     code, out, _ = run(capsys, "verify", "mj", "--dmax", "8")
     assert code == 0

@@ -16,6 +16,7 @@ from srbetti.asymptotics import asymptotic_window
 from srbetti.homology import GF2, QQ, reduced_betti
 from srbetti.formulas import (
     NONZERO,
+    SEQUENCE_GATE,
     UNKNOWN,
     ZERO,
     admissible_sequences,
@@ -54,6 +55,15 @@ class TestStrandStart:
         assert strand_start_bruteforce(5, 3) == 5
         for d in range(2, 10):
             assert strand_start_bruteforce(d, 1) == 1
+
+    def test_sequences_gated_above_the_default_dmax(self):
+        from srbetti import cli
+
+        argv = ["verify", "mj"]
+        assert SEQUENCE_GATE >= cli.build_parser(argv).parse_args(argv).dmax
+        assert admissible_sequences(SEQUENCE_GATE, 1) == [(0,)]
+        with pytest.raises(GateError):
+            admissible_sequences(SEQUENCE_GATE + 1, 1)
 
     def test_oracle_equivalence(self):
         for d in range(2, 17):

@@ -1,3 +1,4 @@
+import time
 from itertools import accumulate, combinations, product
 from math import factorial
 
@@ -50,6 +51,13 @@ class TestBarycentric:
     def test_output_is_flag(self, pendants):
         for c in (simplex(2), simplex_boundary(3), pendants):
             assert barycentric(c).is_flag()
+
+    def test_face_gate(self):
+        # 11! facets: refused before the 2^11 - 1 faces are enumerated
+        start = time.perf_counter()
+        with pytest.raises(GateError, match="face gate"):
+            barycentric(simplex(10))
+        assert time.perf_counter() - start < 1
 
 
 class TestBarycentricIter:
