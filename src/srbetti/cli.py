@@ -532,6 +532,8 @@ def main(argv=None):
     try:
         if getattr(args, "workers", 1) < 1:
             raise ValueError(f"workers must be at least 1, got {args.workers}")
+        if getattr(args, "gate", 0) < 0:
+            raise ValueError(f"gate must be at least 0, got {args.gate}")
         if any(d < 2 for d in getattr(args, "dims", ())):
             raise ValueError(f"--d values must be at least 2, got {args.dims}")
         if hasattr(args, "field"):

@@ -20,6 +20,7 @@ payload only: all combinatorics runs on the integer ids.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from itertools import combinations
 
 FACE_GATE = 1 << 24
@@ -262,86 +263,81 @@ def check_iso_gate(n):
         raise GateError(f"isomorphism search gated at {ISO_GATE} vertices")
 
 
+def _isomorphisms(a, b):
+    """Yield each bijection between the vertex supports of a and b that
+    carries faces onto faces, as a dict; _isomorphisms(c, c) yields every
+    automorphism of c once.
+
+    A vertex's class is its face counts per dimension with the sorted face
+    counts of its neighbours; the two class multisets must agree, which
+    also makes the f-vectors equal, so a bijection that sends every face
+    into b sends the faces onto b's. The search maps a's support breadth
+    first from ascending roots, each vertex to an unused vertex of its
+    class, in ascending order, with the same adjacency to every mapped
+    vertex. Each face of dimension >= 2 is checked as soon as its last
+    vertex in that order is mapped.
+    """
+    adj_a, adj_b = _adjacency(a), _adjacency(b)
+
+    def classes(c, adj):
+        prof = _vertex_profiles(c)
+        support = [v for v in range(c.n) if (v,) in c.face_set]
+        return {v: (prof[v], tuple(sorted(prof[u] for u in support if adj[v] >> u & 1)))
+                for v in support}
+
+    class_a = classes(a, adj_a)
+    candidates = {}
+    for w, key in classes(b, adj_b).items():
+        candidates.setdefault(key, []).append(w)
+    if Counter(class_a.values()) != {key: len(ws) for key, ws in candidates.items()}:
+        return
+    pos = {}  # vertex -> position in the breadth-first order
+    for root in class_a:
+        if root not in pos:
+            pos[root] = len(pos)
+            queue = [root]
+            for v in queue:
+                for u in class_a:
+                    if adj_a[v] >> u & 1 and u not in pos:
+                        pos[u] = len(pos)
+                        queue.append(u)
+    due = {v: [] for v in pos}  # faces checked once v is mapped
+    for k in range(2, a.dim + 1):
+        for f in a.faces_of_dim(k):
+            due[max(f, key=pos.__getitem__)].append(f)
+    order = list(pos)
+    faces_b = b.face_set
+    mapping = {}
+
+    def extend(i, used):  # used: bitmask of the images so far
+        if i == len(order):
+            yield dict(mapping)
+            return
+        v = order[i]
+        # w must be adjacent to exactly the images of v's mapped neighbours
+        want = sum(1 << x for u, x in mapping.items() if adj_a[v] >> u & 1)
+        for w in candidates[class_a[v]]:
+            if used >> w & 1 or adj_b[w] & used != want:
+                continue
+            mapping[v] = w
+            if all(tuple(sorted(mapping[u] for u in f)) in faces_b for f in due[v]):
+                yield from extend(i + 1, used | 1 << w)
+            del mapping[v]
+
+    yield from extend(0, 0)
+
+
 def is_isomorphic(a, b):
     """Search for a vertex bijection carrying faces onto faces.
 
-    Returns (found, mapping); the mapping covers the vertex supports.
-    Backtracking with degree-profile pruning, gated at 64 vertices.
+    Returns (found, mapping); the mapping covers the vertex supports and
+    is the first that _isomorphisms yields. Gated at ISO_GATE vertices.
     """
     check_iso_gate(max(a.n, b.n))
     if a.f_vector() != b.f_vector():
         return False, None
-    prof_a, prof_b = _vertex_profiles(a), _vertex_profiles(b)
-    sup_a = [v for v in range(a.n) if (v,) in a.face_set]
-    sup_b = [v for v in range(b.n) if (v,) in b.face_set]
-    adj_a, adj_b = _adjacency(a), _adjacency(b)
-
-    def refined(prof, adj, verts):
-        out = {}
-        for v in verts:
-            nb = sorted(prof[u] for u in verts if adj[v] >> u & 1)
-            out[v] = (prof[v], tuple(nb))
-        return out
-
-    ra, rb = refined(prof_a, adj_a, sup_a), refined(prof_b, adj_b, sup_b)
-    classes_b = {}
-    for v in sup_b:
-        classes_b.setdefault(rb[v], []).append(v)
-    need = {}
-    for v in sup_a:
-        need[ra[v]] = need.get(ra[v], 0) + 1
-    if any(len(classes_b.get(key, ())) != cnt for key, cnt in need.items()):
-        return False, None
-
-    # most-constrained first, preferring vertices adjacent to earlier picks
-    order = []
-    remaining = set(sup_a)
-    while remaining:
-        placed = set(order)
-        best = min(
-            remaining,
-            key=lambda v: (
-                -sum(1 for u in placed if adj_a[v] >> u & 1),
-                len(classes_b[ra[v]]),
-                v,
-            ),
-        )
-        order.append(best)
-        remaining.discard(best)
-
-    mapping = {}
-    used = set()
-
-    def extend(pos):
-        if pos == len(order):
-            return True
-        v = order[pos]
-        for cv in classes_b[ra[v]]:
-            if cv in used:
-                continue
-            ok = True
-            for u, cu in mapping.items():
-                if (adj_a[v] >> u & 1) != (adj_b[cv] >> cu & 1):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[v] = cv
-            used.add(cv)
-            if extend(pos + 1):
-                return True
-            del mapping[v]
-            used.discard(cv)
-        return False
-
-    if not extend(0):
-        return False, None
-    # adjacency agreement is necessary; confirm on all faces
-    for k in range(2, a.dim + 1):
-        for f in a.faces_of_dim(k):
-            if tuple(sorted(mapping[v] for v in f)) not in b.face_set:
-                return False, None
-    return True, dict(mapping)
+    mapping = next(_isomorphisms(a, b), None)
+    return mapping is not None, mapping
 
 
 # -- named complexes --------------------------------------------------------

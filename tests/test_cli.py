@@ -394,6 +394,8 @@ def test_verify_reports_name_their_field(capsys, suite, extra):
     ("betti", "{c6}", "--workers", "0"),
     ("betti", "{c6}", "--workers", "-2"),
     ("selftest", "--workers", "0"),
+    ("betti", "{c6}", "--gate", "-1"),
+    ("verify", "reg", "--gate", "-1"),
 ])
 def test_empty_or_out_of_range_arguments_exit_2(capsys, c6_file, argv):
     code, out, err = run(capsys, *(a.format(c6=c6_file) for a in argv))

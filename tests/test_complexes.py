@@ -1,6 +1,8 @@
 import json
+import math
 import time
 from collections import Counter
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,6 +62,70 @@ def minimal_non_faces_bruteforce(c):
                     cand.add(t)
         out.extend(sorted(cand))
     return tuple(sorted(out, key=lambda t: (len(t), t)))
+
+
+def relabelled(c, perm):
+    return from_facets([[perm[v] for v in f] for f in c.facets], c.n)
+
+
+def support(c):
+    return sorted(v for (v,) in c.faces_of_dim(0))
+
+
+def carries_faces(a, b, mapping):
+    """The mapping is a bijection between the supports that sends a's
+    faces onto b's."""
+    return (sorted(mapping) == support(a) and sorted(mapping.values()) == support(b)
+            and {tuple(sorted(mapping[v] for v in f)) for f in a.face_set} == b.face_set)
+
+
+def isomorphisms_bruteforce(a, b):
+    """Every bijection between the supports, over all of S_n, that sends
+    a's facets onto b's: a bijection preserves inclusion, so these are the
+    ones that send faces onto faces."""
+    sa, sb = support(a), support(b)
+    if len(sa) != len(sb):
+        return []
+    out = []
+    for image in permutations(sb):
+        m = dict(zip(sa, image))
+        if {tuple(sorted(m[v] for v in f)) for f in a.facets} == set(b.facets):
+            out.append(m)
+    return out
+
+
+def frozen(mappings):
+    return sorted(tuple(sorted(m.items())) for m in mappings)
+
+
+@st.composite
+def non_flag_complexes(draw):
+    """A complex on 4..8 ids whose last id is a ghost, with a triangle
+    x, y, z that is a minimal non-face: its edges are facets, and z is
+    dropped from every drawn facet holding all three."""
+    n = draw(st.integers(4, 8))
+    live = st.integers(0, n - 2)
+    x, y, z = draw(st.lists(live, min_size=3, max_size=3, unique=True))
+    facets = [[x, y], [y, z], [x, z]]
+    for f in draw(st.lists(st.sets(live, min_size=1, max_size=n - 1), max_size=5)):
+        facets.append(sorted(f - {z} if {x, y, z} <= f else f))
+    return from_facets(facets, n)
+
+
+@st.composite
+def same_shape_pairs(draw):
+    """Two complexes on 3..6 ids whose drawn facets have the same sizes,
+    so that their f-vectors often agree."""
+    n = draw(st.integers(3, 6))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    return tuple(
+        from_facets([draw(st.sets(st.integers(0, n - 1), min_size=k, max_size=k))
+                     for k in sizes], n)
+        for _ in range(2))
+
+
+# not flag: (0, 2, 5) is a minimal non-face
+NON_FLAG_7 = from_facets([(0, 2, 3, 4), (0, 5), (1, 2, 4, 5), (1, 4, 6), (2, 3, 6)], 7)
 
 
 class TestFromFacets:
@@ -281,6 +347,64 @@ class TestIsomorphism:
         big = from_facets([[i] for i in range(65)], 65)
         with pytest.raises(GateError):
             is_isomorphic(big, big)
+
+    @settings(max_examples=100, deadline=None)
+    @given(non_flag_complexes(), st.data())
+    def test_relabelled_non_flag_complex(self, c, data):
+        assert not c.is_flag()
+        d = relabelled(c, data.draw(st.permutations(range(c.n))))
+        ok, mapping = is_isomorphic(c, d)
+        assert ok and carries_faces(c, d, mapping)
+
+    def test_non_flag_example(self):
+        # a search on adjacency alone can stop here at a bijection that
+        # keeps the edges but not the faces
+        d = relabelled(NON_FLAG_7, (0, 1, 3, 4, 2, 5, 6))
+        ok, mapping = is_isomorphic(NON_FLAG_7, d)
+        assert ok and carries_faces(NON_FLAG_7, d, mapping)
+
+    @settings(max_examples=150, deadline=None)
+    @given(same_shape_pairs())
+    def test_agrees_with_bruteforce(self, pair):
+        a, b = pair
+        found = isomorphisms_bruteforce(a, b)
+        ok, mapping = is_isomorphic(a, b)
+        assert ok == bool(found)
+        assert mapping is None or mapping in found
+        assert frozen(complexes._isomorphisms(a, b)) == frozen(found)
+
+
+class TestAutomorphisms:
+    @staticmethod
+    def automorphisms(c):
+        found = list(complexes._isomorphisms(c, c))
+        assert all(carries_faces(c, c, m) for m in found)
+        assert len(frozen(found)) == len(set(frozen(found)))
+        return found
+
+    @settings(max_examples=30, deadline=None)
+    @given(non_flag_complexes())
+    def test_bruteforce(self, c):
+        assert frozen(self.automorphisms(c)) == frozen(isomorphisms_bruteforce(c, c))
+
+    def test_named_bruteforce(self, sd_simplex2, c6):
+        for c in (NON_FLAG_7, sd_simplex2, c6):
+            assert frozen(self.automorphisms(c)) == frozen(isomorphisms_bruteforce(c, c))
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_barycentric_simplex(self, d):
+        # S_d on the labels, times complementation F -> [d] - F on the
+        # proper faces with the barycentre fixed
+        sd = barycentric(simplex(d - 1))
+        found = self.automorphisms(sd)
+        assert len(found) == 2 * math.factorial(d)
+        full = frozenset(range(d))
+        index = {lab: v for v, lab in enumerate(sd.labels)}
+        assert {v: index[full - lab or full] for v, lab in enumerate(sd.labels)} in found
+
+    @pytest.mark.parametrize("d, r", [(3, 2), (3, 3), (4, 2), (4, 3)])
+    def test_edgewise_simplex(self, d, r):
+        assert len(self.automorphisms(edgewise(simplex(d - 1), r))) == 2 * d
 
 
 class TestStandardComplexes:
