@@ -25,9 +25,9 @@ from .homology import (
     GF2,
     FieldSpec,
     _is_prime,
-    boundary_matrix,
+    boundary_columns,
+    boundary_rank,
     kernel_basis,
-    rank_exact,
     top_homology_nonzero,
 )
 from .formulas import predict_strand_bary, predict_strand_edgewise
@@ -203,15 +203,14 @@ def minimal_top_cycle(c, field=GF2):
     d = c.dim
     if d < 0:
         raise ValueError("complex has no top dimension")
-    mat = boundary_matrix(c, d, field)
-    basis = kernel_basis(mat)
+    p = field.p
+    basis = kernel_basis(c, d, p)
     k = len(basis)
     if k == 0:
         raise ValueError("no top homology: the cycle space is zero")
-    p = field.p
     if p ** k > CYCLE_ENUM_GATE:
         raise GateError(f"cycle space too large to enumerate: {p}^{k}")
-    faces = mat.cols
+    faces = c.faces_of_dim(d)
     best = None
     for coeffs in product(range(p), repeat=k):
         if not any(coeffs):
@@ -240,10 +239,11 @@ def _cycle_field(c, field):
     have equal dimension."""
     if field.p:
         return field
-    mat = boundary_matrix(c, c.dim, field)
-    rank = rank_exact(mat)
+    cols = boundary_columns(c, c.dim)
+    rows = range(len(c.faces_of_dim(c.dim - 1)))
+    rank = boundary_rank(cols, rows, field)
     return next(FieldSpec(p) for p in count(2) if _is_prime(p)
-                and rank_exact(mat._replace(field=FieldSpec(p))) == rank)
+                and boundary_rank(cols, rows, FieldSpec(p)) == rank)
 
 
 def _minimal_support(c, field):
@@ -398,8 +398,7 @@ def asymptotic_window(c, r, mode, field=GF2, vertex_gate=DEFAULT_VERTEX_GATE,
         if r < 2 * d:
             raise ValueError("edgewise windows need r >= 2d")
         offset = comb(3 * d - 1, d - 1)
-        predictions = [predict_strand_edgewise(d, j, d, comb(2 * d - 1, d - 1))
-                       for j in range(1, d)]
+        predictions = [predict_strand_edgewise(d, j, d) for j in range(1, d)]
     n_sub = vertex_count(c, mode, r)  # raises on any other mode
     windows = {p.j: (p.start, n_sub - offset + p.end) for p in predictions}
     return {

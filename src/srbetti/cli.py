@@ -356,6 +356,8 @@ _SUITES = {
 
 
 def cmd_verify(args):
+    if args.r is None:   # edgewise and link need r >= d
+        args.r = max(3, *args.dims)
     items = _SUITES[args.suite](args)
     if not items:
         raise ValueError(f"verify {args.suite}: these arguments select no claim")
@@ -474,7 +476,7 @@ def _verify_args(p):
     p.add_argument("--dmax", type=int, default=16)
     p.add_argument("--d", type=lambda s: [int(x) for x in s.split(",")],
                    default=[3], metavar="D1,D2,...", dest="dims")
-    p.add_argument("--r", type=int, default=3)
+    p.add_argument("--r", type=int, help="default: max(3, largest --d)")
     p.add_argument("--field", default="gf2")
     _add_common(p)
     p.set_defaults(fn=cmd_verify)

@@ -71,6 +71,8 @@ class SimplicialComplex:
     def __init__(self, n, facets, labels=None, vertex_map=None):
         if n < 0:
             raise ValueError("ambient vertex count must be nonnegative")
+        if n > FACE_GATE:  # per-id lists, such as minimal non-faces, cost O(n)
+            raise GateError(f"{n} ambient vertex ids exceed the face gate {FACE_GATE}")
         self.n = n
         self.facets = _canonical_facets(facets, n)
         if labels is not None:

@@ -151,12 +151,13 @@ def predict_strand_bary(d, j):
                             p - strand_start_closed(d, dual), p - dual)
 
 
-def predict_strand_edgewise(d, j, r, n_vertices):
+def predict_strand_edgewise(d, j, r):
     """Strand classification for the r-th edgewise subdivision of the
-    (d-1)-simplex on n_vertices vertices, valid for r >= d.
+    (d-1)-simplex, valid for r >= d.
 
-    The subdivided simplex triangulates a ball, so the ring is
-    Cohen-Macaulay and pdim = n_vertices - d; strand j is zero below j,
+    Its vertices are the C(r+d-1, d-1) compositions of r into d parts.  The
+    subdivided simplex triangulates a ball, so the ring is Cohen-Macaulay
+    and pdim = C(r+d-1, d-1) - d; strand j is zero below j,
     unresolved on [j, m(j)-1] and nonzero from m(j) to pdim.  For the last
     strand m(d-1) = 2^d - d - 1.
     """
@@ -164,7 +165,7 @@ def predict_strand_edgewise(d, j, r, n_vertices):
         raise ValueError(f"need 1 <= j <= d-1, got j={j}, d={d}")
     if r < d:
         raise ValueError("strand windows for edgewise subdivision need r >= d")
-    pdim = n_vertices - d
+    pdim = comb(r + d - 1, d - 1) - d
     return StrandPrediction(j, pdim, j, strand_start_closed(d, j), pdim, pdim)
 
 
@@ -350,7 +351,7 @@ def verify_predictions(kind, d, r=1, field=GF2,
         predictions = [predict_strand_bary(d, j) for j in range(1, d)]
     else:
         n = comb(r + d - 1, d - 1)
-        predictions = [predict_strand_edgewise(d, j, r, n) for j in range(1, d)]
+        predictions = [predict_strand_edgewise(d, j, r) for j in range(1, d)]
     check_vertex_gate(n, vertex_gate)
     sub = subdivide(simplex(d - 1), kind, r)
     expected_pdim = predictions[0].pdim

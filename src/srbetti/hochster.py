@@ -73,7 +73,7 @@ from itertools import compress
 from typing import NamedTuple
 
 from .complexes import GateError, SimplicialComplex, _adjacency
-from .homology import FieldSpec, QQ, boundary_matrix, boundary_rank, reduced_betti
+from .homology import FieldSpec, QQ, boundary_columns, boundary_rank, reduced_betti
 
 DEFAULT_VERTEX_GATE = 22   # bounds time: memory is 4·2^BLOCK_BITS bytes per process
 BLOCK_BITS = 16   # a block holds 2^16 subsets, the same at every worker count
@@ -138,10 +138,10 @@ class _Payload(NamedTuple):
     """Flat, picklable description of the complex for the subset loop.
 
     masks[k] holds the vertex masks of the k-faces and bnds[k] their
-    boundary columns, `boundary_matrix(c, k).columns`: the indices of each
-    face's facets among the (k-1)-faces.  nbr[v] is the neighbour bitmask
-    of v, which also gives the components of Delta_W.  links[v] is (masks,
-    bnds, nbr) of lk(v) on the same ids; its induced subcomplex on W & N(v)
+    boundary columns, `boundary_columns(c, k)`: the indices of each face's
+    facets among the (k-1)-faces.  nbr[v] is the neighbour bitmask of v,
+    which also gives the components of Delta_W.  links[v] is (masks, bnds,
+    nbr) of lk(v) on the same ids; its induced subcomplex on W & N(v)
     is the link of v in Delta_W, whose class decides the Mayer-Vietoris
     step; the loop computes it once per W & N(v).
     `graded_betti_table` builds the payload on the ids that lie in faces,
@@ -156,24 +156,24 @@ class _Payload(NamedTuple):
     links: tuple
 
 
-def _levels(c, field):
+def _levels(c):
     """(masks, bnds, nbr) of c: vertex masks and boundary columns of its
     faces by dimension, and the neighbour mask of every ambient id."""
     dims = c.dim + 1
     masks = tuple(tuple(sum(1 << v for v in f) for f in c.faces_of_dim(k))
                   for k in range(dims))
-    bnds = tuple(boundary_matrix(c, k, field).columns for k in range(dims))
+    bnds = tuple(boundary_columns(c, k) for k in range(dims))
     return masks, bnds, tuple(_adjacency(c))
 
 
 def _payload(c, field):
     """The `_Payload` over field of c, every id of which lies in a face."""
     n = c.n
-    masks, bnds, nbr = _levels(c, field)
+    masks, bnds, nbr = _levels(c)
     # facets through v minus v: the facets of lk(v)
     links = tuple(
         _levels(SimplicialComplex(n, [tuple(u for u in f if u != v)
-                                      for f in c.facets if v in f]), field)
+                                      for f in c.facets if v in f]))
         for v in range(n))
     return _Payload(n, masks, bnds, field, nbr, links)
 

@@ -1,10 +1,9 @@
 """Exact reduced simplicial homology over Q and over prime fields.
 
-Boundary matrices use the orientation induced by sorted vertex order: the
-face obtained by deleting the vertex in position i carries sign (-1)^i.
-A boundary column is stored as the tuple of its facets' row indices in the
-order of the deleted vertex, so the sign is implied by the position and is
-written out only where a dense matrix is built (`_dense`).
+Boundaries use the orientation induced by sorted vertex order: the face
+obtained by deleting the vertex in position i carries sign (-1)^i.  The
+boundary map has entries 0 and +-1 over every field, so a boundary is its
+columns (`boundary_columns`) and only a rank is taken over a field.
 Chain degree -1 is the span of the empty face, so homology is reduced and
 the complex that contains only the empty face has one unit of homology in
 degree -1.
@@ -71,34 +70,20 @@ QQ = FieldSpec.rationals()
 GF2 = FieldSpec.prime(2)
 
 
-class BoundaryMatrix(NamedTuple):
-    """Signed incidence matrix of the boundary map on k-faces.
+def boundary_columns(c, k):
+    """The boundary of c in degree k, 0 <= k <= dim + 1, as its columns.
 
-    columns[c] is the tuple of row indices of the facets of face cols[c],
-    in the order of the deleted vertex; the i-th entry carries sign (-1)^i.
-    Rows are the (k-1)-faces, with the single empty face as augmentation
-    row when k = 0.
+    Column i belongs to the i-th face of c.faces_of_dim(k) and is the tuple
+    of the row indices of its facets in c.faces_of_dim(k - 1), in the order
+    of the deleted vertex: the j-th entry carries sign (-1)^j, so the sign
+    is written out only where a dense matrix is built (`_dense`).  In
+    degree 0 the one row is the empty face, the augmentation.
     """
-
-    rows: tuple
-    cols: tuple
-    columns: tuple
-    field: FieldSpec
-
-    @property
-    def shape(self):
-        return (len(self.rows), len(self.cols))
-
-
-def boundary_matrix(c, k, field=QQ):
     if k < 0 or k > c.dim + 1:
         raise ValueError(f"boundary degree {k} out of range")
-    cols = c.faces_of_dim(k)
-    rows = c.faces_of_dim(k - 1)
-    row_index = {f: i for i, f in enumerate(rows)}
-    columns = tuple(tuple(row_index[f[:i] + f[i + 1:]] for i in range(len(f)))
-                    for f in cols)
-    return BoundaryMatrix(rows, cols, columns, field)
+    row_index = {f: i for i, f in enumerate(c.faces_of_dim(k - 1))}
+    return tuple(tuple(row_index[f[:i] + f[i + 1:]] for i in range(len(f)))
+                 for f in c.faces_of_dim(k))
 
 
 # -- exact rank --------------------------------------------------------------
@@ -225,11 +210,6 @@ def boundary_rank(columns, rows, field):
     return gfp_rank(m, field.p) if field.p else int_rank(m)
 
 
-def rank_exact(mat):
-    """Exact rank of a BoundaryMatrix over its field."""
-    return boundary_rank(mat.columns, range(len(mat.rows)), mat.field)
-
-
 # -- reduced Betti numbers ----------------------------------------------------
 
 
@@ -238,7 +218,8 @@ def reduced_betti(c, field=QQ):
     d = c.dim
     ranks = {d + 1: 0}
     for k in range(0, d + 1):
-        ranks[k] = rank_exact(boundary_matrix(c, k, field))
+        ranks[k] = boundary_rank(boundary_columns(c, k),
+                                 range(len(c.faces_of_dim(k - 1))), field)
     out = {-1: 1 - ranks.get(0, 0)}
     for k in range(0, d + 1):
         out[k] = len(c.faces_of_dim(k)) - ranks[k] - ranks[k + 1]
@@ -251,15 +232,18 @@ def top_homology_nonzero(c, field=QQ):
     d = c.dim
     if d < 0:
         return False
-    mat = boundary_matrix(c, d, field)
-    return len(mat.cols) - rank_exact(mat) > 0
+    cols = boundary_columns(c, d)
+    return len(cols) - boundary_rank(cols, range(len(c.faces_of_dim(d - 1))),
+                                     field) > 0
 
 
 # -- kernels -----------------------------------------------------------------
 
 
-def kernel_basis(mat):
-    """Deterministic kernel basis over GF(p) (one vector per free column of
-    the RREF); ValueError over Q."""
-    return nullspace(_dense(mat.columns, range(len(mat.rows))), len(mat.cols),
-                     mat.field.p)
+def kernel_basis(c, k, p):
+    """Deterministic kernel basis over GF(p) of the boundary of c in degree
+    k, each vector indexed like c.faces_of_dim(k) (one per free column of
+    the RREF); ValueError for p = 0, the rationals."""
+    return nullspace(_dense(boundary_columns(c, k),
+                            range(len(c.faces_of_dim(k - 1)))),
+                     len(c.faces_of_dim(k)), p)

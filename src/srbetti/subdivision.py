@@ -143,31 +143,37 @@ def edgewise(c, r):
     identity on vertex ids); labels are the composition tuples.  Facets
     are assembled per facet of c from the cached subdivision of a simplex,
     which is valid because the pairwise condition restricted to a fixed
-    support reduces to the same condition on the restricted coordinates.  Each facet g of c becomes
-    r^(|g|-1) facets; above FACE_GATE in all, GateError is raised before
-    anything is built.
+    support reduces to the same condition on the restricted coordinates.
+    Each facet g of c becomes r^(|g|-1) facets; above FACE_GATE in all,
+    GateError is raised before anything is built.
+
+    A vertex is keyed by its (id, -part) pairs over its positive parts, once
+    per point of each facet's template.  Compositions of one sum r descend
+    lexicographically exactly as these keys ascend, so the keys are sorted
+    and each n-long label is built once per vertex.
     """
     if r < 1:
         raise ValueError("edgewise subdivision needs r >= 1")
     if sum(r ** (len(g) - 1) for g in c.facets if g) > FACE_GATE:
         raise GateError("edgewise subdivision exceeds the face gate")
-    n = c.n
-    lifted = []
+    lifted = []   # facets on vertex keys
     for g in filter(None, c.facets):
-        for sf in _simplex_edgewise_facets(len(g), r):
-            rows = []
-            for b in sf:
-                a = [0] * n
-                for v, val in zip(g, b):
-                    a[v] = val
-                rows.append(tuple(a))
-            lifted.append(rows)
+        template = _simplex_edgewise_facets(len(g), r)
+        points = {b for sf in template for b in sf}
+        key = {b: tuple((v, -x) for v, x in zip(g, b) if x) for b in points}
+        lifted.extend([key[b] for b in sf] for sf in template)
     if not lifted:
         return SimplicialComplex(0, [()])
-    verts = sorted({a for f in lifted for a in f}, reverse=True)
-    vid = {a: i for i, a in enumerate(verts)}
-    return SimplicialComplex(len(verts), [[vid[a] for a in f] for f in lifted],
-                             labels=tuple(verts))
+    keys = sorted({k for f in lifted for k in f})
+    vid = {k: i for i, k in enumerate(keys)}
+    labels = []
+    for k in keys:
+        a = [0] * c.n
+        for v, x in k:
+            a[v] = -x
+        labels.append(tuple(a))
+    return SimplicialComplex(len(keys), [[vid[k] for k in f] for f in lifted],
+                             labels=labels)
 
 
 # -- interiority -------------------------------------------------------------

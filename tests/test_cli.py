@@ -106,6 +106,32 @@ def test_subdivide_bary_gate(capsys, tmp_path):
     assert err.startswith("gate:") and err.count("\n") == 1
 
 
+def _limit_memory():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("command, options", [
+    (["info"], []),
+    (["subdivide"], ["--mode", "edgewise", "--r", "2"]),
+    (["limits", "polynomial"], []),
+], ids=["info", "subdivide-edgewise", "limits-polynomial"])
+def test_huge_ambient_n_exits_2(tmp_path, command, options):
+    # 3·10^9 ids: lists with an entry per id would exhaust 1 GiB, so a
+    # complex above the face gate in ids is refused when it is read
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps({"n": 3_000_000_000, "facets": [[0, 1]]}))
+    src = os.path.dirname(os.path.dirname(srbetti.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "srbetti.cli", *command, str(p), *options],
+        env={**os.environ, "PYTHONPATH": src}, preexec_fn=_limit_memory,
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2 and not done.stdout
+    assert done.stderr == ("gate: 3000000000 ambient vertex ids exceed the "
+                           "face gate 16777216\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "gorenstein", "--d", "11"],        # 2^11 - 1 vertices, 11! facets
     ["verify", "thm-bar", "--d", "10"],           # 2^10 - 1 vertices
@@ -325,6 +351,18 @@ def test_verify_link_checks_every_d(capsys):
     # d=4 needs r >= 4, so reading the second value refuses r=3
     code, _, err = run(capsys, "verify", "link", "--d", "3,4", "--r", "3")
     assert code == 2 and "r >= d" in err
+
+
+def test_verify_r_defaults_to_the_largest_d(capsys):
+    code, out, _ = run(capsys, "verify", "link", "--d", "3,4,5,6")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["passed"], report["failed"]) == (14, 0)
+    assert report["checks"][-1]["name"] == "interior face link d=6 r=6 size=5"
+    # r = 4: edgewise(simplex(3), 4) has C(7, 3) = 35 vertices, past the gate
+    code, out, err = run(capsys, "verify", "edgewise", "--d", "4")
+    assert code == 2 and not out
+    assert err == "gate: 35 vertices exceed the subset-enumeration gate 22\n"
 
 
 def test_verify_link_refuses_huge_simplex(capsys):

@@ -187,6 +187,13 @@ class TestFaceGate:
         with pytest.raises(GateError):
             b.face_set
 
+    def test_ambient_ids(self, monkeypatch):
+        # ids in no face still cost per-id work, such as minimal non-faces
+        monkeypatch.setattr(complexes, "FACE_GATE", 4)
+        assert len(SimplicialComplex(4, [(0, 1)]).minimal_non_faces()) == 2
+        with pytest.raises(GateError):
+            SimplicialComplex(5, [(0, 1)])
+
     def test_huge_simplex_refused_at_once(self):
         t0 = time.perf_counter()
         with pytest.raises(GateError):

@@ -130,23 +130,23 @@ class TestPredictStrandBary:
 
 class TestPredictStrandEdgewise:
     def test_d3_j1(self):
-        p = predict_strand_edgewise(3, 1, 3, 10)
+        p = predict_strand_edgewise(3, 1, 3)
         assert p.nonzeros == list(range(1, 8))
         assert p.zeros == [0]
 
     def test_d3_j2(self):
-        p = predict_strand_edgewise(3, 2, 3, 10)
+        p = predict_strand_edgewise(3, 2, 3)
         assert p.nonzeros == [4, 5, 6, 7]
         assert p.zeros == [0, 1]
         assert p.unknowns == [2, 3]
 
     def test_d4_j3(self):
-        p = predict_strand_edgewise(4, 3, 4, 35)
+        p = predict_strand_edgewise(4, 3, 4)
         assert p.nonzeros == list(range(11, 32))
 
     def test_requires_r_at_least_d(self):
         with pytest.raises(ValueError):
-            predict_strand_edgewise(3, 1, 2, 6)
+            predict_strand_edgewise(3, 1, 2)
 
 
 # -- three-branch window rules, kept as oracles for the duality rule -----------
@@ -231,7 +231,7 @@ class TestWindowsAgainstBranchOracle:
         for d in range(2, 9):
             n = comb(2 * d - 1, d - 1)
             for j in range(1, d):
-                pred = predict_strand_edgewise(d, j, d, n)
+                pred = predict_strand_edgewise(d, j, d)
                 got = {i: pred.kind(i) for i in range(pred.pdim + 1)}
                 assert got == _edgewise_oracle(d, j, n)
 
