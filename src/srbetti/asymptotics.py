@@ -240,10 +240,9 @@ def _cycle_field(c, field):
     if field.p:
         return field
     cols = boundary_columns(c, c.dim)
-    rows = range(len(c.faces_of_dim(c.dim - 1)))
-    rank = boundary_rank(cols, rows, field)
+    rank = boundary_rank(cols, field)
     return next(FieldSpec(p) for p in count(2) if _is_prime(p)
-                and boundary_rank(cols, rows, FieldSpec(p)) == rank)
+                and boundary_rank(cols, FieldSpec(p)) == rank)
 
 
 def _minimal_support(c, field):

@@ -194,13 +194,15 @@ class SimplicialComplex:
 
         Each one of size k >= 3 is a face f plus a vertex v > max f joined
         to every vertex of f, so v is drawn from the AND of f's neighbour
-        bitmasks; size 2 is a non-edge between two vertices.
+        bitmasks; size 2 is a non-edge between two vertices.  They are
+        found in (size, lex) order: f ascends, then v for each f.
         """
         if self._mnf is not None:
             return self._mnf
         faces = self.face_set
-        out = [(v,) for v in range(self.n) if (v,) not in faces]
-        present = [v for v in range(self.n) if (v,) in faces]
+        present = [v for (v,) in self.faces_of_dim(0)]
+        live = set(present)
+        out = [(v,) for v in range(self.n) if v not in live]
         nbr = _adjacency(self)
         out.extend((u, v) for u in present for v in present
                    if v > u and not nbr[u] >> v & 1)
@@ -219,7 +221,7 @@ class SimplicialComplex:
                     if t not in faces and all(
                             t[:i] + t[i + 1:] in faces for i in range(k - 1)):
                         out.append(t)
-        self._mnf = tuple(sorted(out, key=lambda t: (len(t), t)))
+        self._mnf = tuple(out)
         return self._mnf
 
     def t1(self):

@@ -181,6 +181,7 @@ def predict_t1_edgewise(c, r):
     """
     if r < 2:
         raise ValueError("the trichotomy applies for r >= 2")
+    c = c.induced([v for (v,) in c.faces_of_dim(0)])   # edgewise drops ghost ids
     if c.is_flag() or not c.minimal_non_faces():
         return 2
     t1 = c.t1()

@@ -222,18 +222,13 @@ def _induced_betti(w, masks, bnds, nbr, field):
     verts = w.bit_count()
     counts = [verts]
     ranks = [1, verts - _components(w, nbr)]
-    prev = None
     for k in range(1, len(masks)):
         sel = [i for i, m in enumerate(masks[k]) if m & w == m]
         if not sel:
             break
         counts.append(len(sel))
-        if prev is not None:
-            bnd_k = bnds[k]
-            ranks.append(boundary_rank([bnd_k[gi] for gi in sel],
-                                       {gi: li for li, gi in enumerate(prev)},
-                                       field))
-        prev = sel
+        if k > 1:
+            ranks.append(boundary_rank([bnds[k][gi] for gi in sel], field))
     ranks.append(0)
     betti = [0] + [f - ranks[k] - ranks[k + 1] for k, f in enumerate(counts)]
     while betti and not betti[-1]:
@@ -336,19 +331,19 @@ def _accumulate(payload, lo, hi, known):
             bettis.append(betti)
         return hid
 
-    def search_step(h, d):
-        """The id of W = lo | h, a block-v subset whose step on v needs a
-        component search or a rank; d is the class of v's link.
+    def search_step(h):
+        """The id of W = lo | h, where h = 0 or W is a block-v subset whose
+        step on v needs a component search or a rank.
 
-        One walk over the higher u in W, lowest first, copies W - u's id at
-        the first u whose link is acyclic.  The step vertex is v unless its
-        link has higher homology; then the walk classifies each u until one
-        has none and takes it.  Otherwise it only reads known classes.
-        Without a copy, W steps on the step vertex with one component
-        search, or is ranked when there is none."""
+        One walk over the u in W - lo from v up copies W - u's id at the
+        first u whose link is acyclic.  It classifies each u, a known class
+        at v, until one has no higher homology, takes that u as the step
+        vertex and then only reads known classes.  Without a copy, W steps
+        on the step vertex with one component search, or is ranked when
+        there is none."""
         w = lo | h
-        mv = 0 if d == _HIGHER else h & -h   # the step vertex; d its link class
-        rest = h & (h - 1)
+        mv = d = 0   # the step vertex and its link class
+        rest = h
         while rest:
             b = rest & -rest
             rest ^= b
@@ -363,7 +358,7 @@ def _accumulate(payload, lo, hi, known):
                                  _components(w, nbr)))
         return key(_induced_betti(w, masks, bnds, nbr, field))
 
-    memo[0] = key(_induced_betti(lo, masks, bnds, nbr, field))
+    memo[0] = search_step(0)
     # id << shift | #(W - lo) -> subsets, over every W whose block is done
     tally = {memo[0]: 1}
     for v in range(m - 1, -1, -1):
@@ -393,7 +388,7 @@ def _accumulate(payload, lo, hi, known):
                 betti = _mv_betti(bettis[k >> shift], k & part)
                 hid = steps[k] = _SEARCH if betti is None else key(betti)
             if hid == _SEARCH:
-                hid = search_step(h, k & part)
+                hid = search_step(h)
             memo[h] = hid
             size = h.bit_count()
             block[old | size] -= 1

@@ -181,9 +181,11 @@ def nullspace(rows, nc, p):
     return basis
 
 
-def _dense(columns, rows):
-    """Dense len(rows) x len(columns) integer matrix of boundary columns;
-    rows maps each row id the columns use to its local index."""
+def _dense(columns):
+    """Dense integer matrix of boundary columns, one row for each row id
+    they use.  A row id no column uses would be a zero row, and row order
+    changes neither the rank nor the reduced echelon form."""
+    rows = {b: i for i, b in enumerate(set().union(*columns))}
     m = [[0] * len(columns) for _ in range(len(rows))]
     for ci, col in enumerate(columns):
         sign = 1
@@ -193,20 +195,14 @@ def _dense(columns, rows):
     return m
 
 
-def boundary_rank(columns, rows, field):
+def boundary_rank(columns, field):
     """Exact rank over `field` of the boundary columns, each a tuple of row
-    ids; rows maps every row id used to a local index in 0..len(rows)-1."""
-    if not columns or not rows:
+    ids; over GF(2) each row id is its own bit."""
+    if not columns:
         return 0
     if field.p == 2:
-        bits = []
-        for col in columns:
-            v = 0
-            for b in col:
-                v |= 1 << rows[b]
-            bits.append(v)
-        return gf2_rank(bits)
-    m = _dense(columns, rows)
+        return gf2_rank([sum(1 << b for b in col) for col in columns])
+    m = _dense(columns)
     return gfp_rank(m, field.p) if field.p else int_rank(m)
 
 
@@ -218,8 +214,7 @@ def reduced_betti(c, field=QQ):
     d = c.dim
     ranks = {d + 1: 0}
     for k in range(0, d + 1):
-        ranks[k] = boundary_rank(boundary_columns(c, k),
-                                 range(len(c.faces_of_dim(k - 1))), field)
+        ranks[k] = boundary_rank(boundary_columns(c, k), field)
     out = {-1: 1 - ranks.get(0, 0)}
     for k in range(0, d + 1):
         out[k] = len(c.faces_of_dim(k)) - ranks[k] - ranks[k + 1]
@@ -233,8 +228,7 @@ def top_homology_nonzero(c, field=QQ):
     if d < 0:
         return False
     cols = boundary_columns(c, d)
-    return len(cols) - boundary_rank(cols, range(len(c.faces_of_dim(d - 1))),
-                                     field) > 0
+    return len(cols) - boundary_rank(cols, field) > 0
 
 
 # -- kernels -----------------------------------------------------------------
@@ -244,6 +238,4 @@ def kernel_basis(c, k, p):
     """Deterministic kernel basis over GF(p) of the boundary of c in degree
     k, each vector indexed like c.faces_of_dim(k) (one per free column of
     the RREF); ValueError for p = 0, the rationals."""
-    return nullspace(_dense(boundary_columns(c, k),
-                            range(len(c.faces_of_dim(k - 1)))),
-                     len(c.faces_of_dim(k)), p)
+    return nullspace(_dense(boundary_columns(c, k)), len(c.faces_of_dim(k)), p)

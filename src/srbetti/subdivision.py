@@ -79,23 +79,24 @@ def _chains(r, bases):
     [0, r-1]^m, add the m unit vectors one at a time, every point staying
     weakly increasing; a step that would leave the region ends its branch.
     Adding e_i moves one unit from part i+1 to part i, which raises the
-    composition lexicographically."""
+    composition lexicographically.  A chain has m + 1 points for any m,
+    so branches grow from a stack, not by recursion."""
     chains = []
 
     def composition(x):
         return tuple(b - a for a, b in zip((0, *x), (*x, r)))
 
-    def grow(base, x, chain):
-        m = len(base)
-        if len(chain) > m:
-            chains.append(tuple(reversed(chain)))
-        for i in range(m):
-            if x[i] == base[i] and (i + 1 == m or x[i] < x[i + 1]):
-                y = x[:i] + (x[i] + 1,) + x[i + 1:]
-                grow(base, y, chain + [composition(y)])
-
     for base in bases:
-        grow(base, base, [composition(base)])
+        m = len(base)
+        stack = [(base, [composition(base)])]
+        while stack:
+            x, chain = stack.pop()
+            if len(chain) > m:
+                chains.append(tuple(reversed(chain)))
+            for i in range(m):
+                if x[i] == base[i] and (i + 1 == m or x[i] < x[i + 1]):
+                    y = x[:i] + (x[i] + 1,) + x[i + 1:]
+                    stack.append((y, chain + [composition(y)]))
     return chains
 
 

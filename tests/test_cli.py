@@ -132,6 +132,16 @@ def test_huge_ambient_n_exits_2(tmp_path, command, options):
                            "face gate 16777216\n")
 
 
+def test_edgewise_r1_of_a_large_facet(capsys, tmp_path):
+    # r = 1 gives one facet per facet, so the face gate passes; the one
+    # chain has 1,200 points, past Python's default recursion limit
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps({"n": 1200, "facets": [list(range(1200))]}))
+    code, out, err = run(capsys, "subdivide", str(p), "--mode", "edgewise", "--r", "1")
+    assert code == 0 and err == ""
+    assert loads(out).facets == (tuple(range(1200)),)
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "gorenstein", "--d", "11"],        # 2^11 - 1 vertices, 11! facets
     ["verify", "thm-bar", "--d", "10"],           # 2^10 - 1 vertices

@@ -269,7 +269,10 @@ class TestMinimalNonFaces:
     @given(random_complexes())
     @settings(max_examples=60, deadline=None)
     def test_matches_bruteforce(self, c):
-        assert c.minimal_non_faces() == minimal_non_faces_bruteforce(c)
+        # and with two ghost ids, one below every id in a face
+        ghosted = from_facets([[v + 1 for v in f] for f in c.facets], c.n + 2)
+        for g in (c, ghosted):
+            assert g.minimal_non_faces() == minimal_non_faces_bruteforce(g)
 
     def test_subdivided_simplex_matches_bruteforce(self, sd_simplex3):
         assert sd_simplex3.minimal_non_faces() == minimal_non_faces_bruteforce(sd_simplex3)

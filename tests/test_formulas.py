@@ -274,8 +274,13 @@ class TestPredictT1:
 
     def test_matches_direct_computation(self, c6):
         for c in (c6, simplex_boundary(2),
-                  from_facets([[0, 1, 3], [0, 2, 3], [1, 2, 3]], 4)):
-            assert predict_t1_edgewise(c, 2) == edgewise(c, 2).t1()
+                  from_facets([[0, 1, 3], [0, 2, 3], [1, 2, 3]], 4),
+                  from_facets([[0, 1, 2]], 4)):
+            # edgewise drops ghost ids: id 3 of the last input, id 0 of each copy
+            ghosted = from_facets([[v + 1 for v in f] for f in c.facets], c.n + 1)
+            for g in (c, ghosted):
+                for r in (2, 3):
+                    assert predict_t1_edgewise(g, r) == edgewise(g, r).t1()
 
 
 class TestPredictReg:
