@@ -12,6 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import count, product
 from math import comb, factorial
+from operator import mul
 from typing import NamedTuple
 
 from .complexes import (
@@ -84,7 +85,6 @@ class EigenData(NamedTuple):
     """Limit data of the subdivision transfer matrix M: its eigenvalues and
     the row eigenvector u of M for d! with u_d = 1."""
 
-    d: int
     diag: list       # factorial eigenvalues 0!, 1!, ..., d!
     top_row: list    # u with u M = d! u and u_d = 1
 
@@ -117,7 +117,7 @@ def eigendecompose(mat):
         if diag[j] < diag[d]:
             u[j] = (sum(u[i] * mat[i][j] for i in range(j + 1, size))
                     / (diag[d] - diag[j]))
-    return EigenData(d=d, diag=[Fraction(v) for v in diag], top_row=u)
+    return EigenData(diag=[Fraction(v) for v in diag], top_row=u)
 
 
 @lru_cache(maxsize=None)
@@ -125,20 +125,16 @@ def _eigendata(d):
     return eigendecompose(_surjections(d))
 
 
-def limit_polynomial_from_f(f):
-    """Coefficients of the limit of the normalized f-polynomials.
+def limit_polynomial(c):
+    """Coefficients of the limit of the normalized f-polynomials of c.
 
     Returns (c_0, ..., c_d) pairing with (t^d, ..., t^0): the limit of
     f-polynomial / (d!)^r under iterated subdivision.  Only the eigenvalue
     d! survives the normalization, and its right eigenvector is e_{d+1},
     so this is f_{d-1} times the row eigenvector u with u_d = 1.
     """
-    f = tuple(f)
+    f = c.f_vector()
     return tuple(f[-1] * x for x in _eigendata(len(f) - 1).top_row)
-
-
-def limit_polynomial(c):
-    return limit_polynomial_from_f(c.f_vector())
 
 
 def limit_vertex_constant(d):
@@ -177,22 +173,11 @@ def vertex_count(c, mode, r):
 # -- minimal top cycles -----------------------------------------------------------
 
 
-class MinimalCycle(NamedTuple):
-    """A top cycle whose induced support complex has the smallest f-vector
-    in the order that compares indices from the top dimension downward."""
-
-    coefficients: dict
-    induced: SimplicialComplex
-    f: tuple
-
-    @property
-    def support(self):
-        return tuple(sorted(self.coefficients))
-
-
 def minimal_top_cycle(c, field=GF2):
-    """Enumerate the nonzero top cycles over a prime field and return one
-    minimizing the reverse-indexed f-vector of its induced complex.
+    """Enumerate the nonzero top cycles over a prime field and return the
+    support complex, on c's ids, of one whose support has the smallest
+    f-vector in the order that compares indices from the top dimension
+    downward.
 
     Ties are broken by the lexicographically smallest support.  The whole
     kernel is enumerated, so p^k is gated; the intended inputs have tiny
@@ -215,21 +200,13 @@ def minimal_top_cycle(c, field=GF2):
     for coeffs in product(range(p), repeat=k):
         if not any(coeffs):
             continue
-        vec = [0] * len(faces)
-        for cf, bas in zip(coeffs, basis):
-            if cf:
-                for idx, val in enumerate(bas):
-                    if val:
-                        vec[idx] = (vec[idx] + cf * val) % p
-        support = [faces[i] for i, v in enumerate(vec) if v]
-        induced = SimplicialComplex(c.n, support)
-        f = induced.f_vector()
-        key = (tuple(reversed(f)), tuple(support))
+        support = tuple(f for f, *col in zip(faces, *basis)
+                        if sum(map(mul, coeffs, col)) % p)
+        sub = SimplicialComplex(c.n, support)
+        key = (tuple(reversed(sub.f_vector())), support)
         if best is None or key < best[0]:
-            best = (key, support,
-                    {faces[i]: v for i, v in enumerate(vec) if v}, induced, f)
-    _, _, coeff_map, induced, f = best
-    return MinimalCycle(coefficients=coeff_map, induced=induced, f=f)
+            best = (key, sub)
+    return best[1]
 
 
 def _cycle_field(c, field):
@@ -255,8 +232,8 @@ def _minimal_support(c, field):
     minimal f-vectors agree.  Raises ValueError when it carries none.
     """
     prime = _cycle_field(c, field)
-    mc = minimal_top_cycle(c, prime)
-    support = mc.induced.induced({v for f in mc.induced.facets for v in f})
+    cyc = minimal_top_cycle(c, prime)
+    support = cyc.induced({v for f in cyc.facets for v in f})
     if not (field.p or top_homology_nonzero(support, field)):
         raise ValueError(f"Q window unknown: the {prime} minimal top cycle's "
                          f"support carries no rational top cycle")

@@ -193,10 +193,12 @@ def _suite_edgewise(args):
 
 
 def _suite_gorenstein(args):
+    from . import formulas
+
     items = []
     for d in args.dims:
         # sd(simplex(d-1)) has 2^d - 1 vertices: gate before building it
-        hochster.check_vertex_gate((1 << d) - 1, args.gate)
+        formulas.check_simplex_gate("bary", d, 1, args.gate)
         sub = subdivision.subdivide(complexes.simplex(d - 1), "bary", 1)
         table = hochster.graded_betti_table(sub, args.field, vertex_gate=args.gate,
                                             workers=args.workers)
@@ -211,8 +213,8 @@ def _suite_link(args):
     r = args.r
     for d in args.dims:
         # a vertex's link, sd(boundary of the (d-1)-simplex), has 2^d - 2
-        # vertices: gate the isomorphism search before building anything
-        complexes.check_iso_gate((1 << d) - 2)
+        # vertices, d capped past the gate: gate before building anything
+        complexes.check_iso_gate((1 << min(d, complexes.ISO_GATE.bit_length() + 1)) - 2)
         for s in range(1, d):
             face = subdivision.interior_face_witness(d, r, s)
             link = subdivision.edgewise_link(face)

@@ -347,8 +347,15 @@ def is_isomorphic(a, b):
 # -- named complexes --------------------------------------------------------
 
 
+def _check_facet_entries(entries):
+    """Refuse a named complex whose facets would hold over FACE_GATE vertex ids."""
+    if entries > FACE_GATE:
+        raise GateError(f"{entries} facet vertex entries exceed the face gate {FACE_GATE}")
+
+
 def simplex(d):
     """Full d-simplex on d+1 vertices."""
+    _check_facet_entries(d + 1)
     return from_facets([tuple(range(d + 1))], d + 1)
 
 
@@ -356,12 +363,14 @@ def simplex_boundary(d):
     """Boundary of the d-simplex, a (d-1)-sphere."""
     if d == 0:
         return SimplicialComplex(1, [()])
+    _check_facet_entries((d + 1) * d)
     return from_facets(list(combinations(range(d + 1), d)), d + 1)
 
 
 def cycle(m):
     if m < 3:
         raise ValueError("cycle needs at least 3 vertices")
+    _check_facet_entries(2 * m)
     return from_facets([(i, (i + 1) % m) for i in range(m)], m)
 
 
@@ -370,31 +379,32 @@ def path(m):
         raise ValueError("path needs at least 1 vertex")
     if m == 1:
         return from_facets([(0,)], 1)
+    _check_facet_entries(2 * (m - 1))
     return from_facets([(i, i + 1) for i in range(m - 1)], m)
 
 
 def stacked_sphere(dim, n_facets):
     """Sphere built from the boundary of a (dim+1)-simplex by stacking.
 
-    Each stacking move replaces one facet by the cone over its boundary
-    from a fresh vertex, adding `dim` facets; so n_facets must satisfy
-    n_facets >= dim+2 and n_facets = dim+2 (mod dim).
+    Each stacking move replaces the lexicographically largest facet by the
+    cone over its boundary from a fresh vertex, adding `dim` facets; so
+    n_facets must satisfy n_facets >= dim+2 and n_facets = dim+2 (mod dim).
+    Move k takes the window (k+1, ..., k+dim+1): older facets start at or
+    below k, and the cone's facets but the next window start with k+1.
     """
     base = dim + 2
     if dim < 2:
         raise ValueError("stacked_sphere needs dim >= 2")
     if n_facets < base or (n_facets - base) % dim != 0:
         raise ValueError(f"no stacked {dim}-sphere with {n_facets} facets")
-    facets = sorted(combinations(range(dim + 2), dim + 1))
-    n = dim + 2
-    for _ in range((n_facets - base) // dim):
-        target = facets.pop()
-        apex = n
-        n += 1
-        for i in range(len(target)):
-            facets.append(target[:i] + target[i + 1:] + (apex,))
-        facets.sort()
-    return from_facets(facets, n)
+    _check_facet_entries(n_facets * (dim + 1))
+    moves = (n_facets - base) // dim
+    facets = [f for f in combinations(range(base), dim + 1) if f[0] == 0]
+    for k in range(moves):
+        cone = tuple(range(k + 1, k + base + 1))   # window k, then its apex
+        facets.extend(cone[:i] + cone[i + 1:] for i in range(1, dim + 1))
+    facets.append(tuple(range(moves + 1, moves + base)))
+    return from_facets(facets, base + moves)
 
 
 def rp2_six():
@@ -413,6 +423,7 @@ def stacked_attach(base, k, ridge=None):
     ridge = tuple(sorted(ridge))
     if len(ridge) != base.dim or not base.has_face(ridge):
         raise ValueError(f"{ridge!r} is not a ridge of the base complex")
+    _check_facet_entries(sum(map(len, base.facets)) + k * (len(ridge) + 1))
     facets = list(base.facets)
     n = base.n
     for _ in range(k):

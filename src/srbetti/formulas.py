@@ -24,12 +24,14 @@ windows (`StrandPrediction`); everything else reads them.
 
 from __future__ import annotations
 
+from itertools import accumulate, combinations
 from math import comb
 from typing import NamedTuple
 
 from .complexes import GateError, simplex
-from .homology import GF2, top_homology_nonzero, reduced_betti
-from .hochster import DEFAULT_VERTEX_GATE, check_vertex_gate, graded_betti_table
+from .homology import GF2, top_homology_nonzero
+from .hochster import (DEFAULT_VERTEX_GATE, VertexGateError, betti_witness,
+                       check_vertex_gate, graded_betti_table)
 from .subdivision import subdivide
 
 ZERO = "zero"
@@ -182,20 +184,14 @@ def predict_t1_edgewise(c, r):
     if r < 2:
         raise ValueError("the trichotomy applies for r >= 2")
     c = c.induced([v for (v,) in c.faces_of_dim(0)])   # edgewise drops ghost ids
-    if c.is_flag() or not c.minimal_non_faces():
-        return 2
     t1 = c.t1()
+    if t1 <= 2:   # without ghosts no minimal non-face is a vertex: c is flag
+        return 2
     faces = c.face_set
-    biggest = [f for f in c.minimal_non_faces() if len(f) == t1]
-    for f in biggest:
-        fs = set(f)
-        for v in range(c.n):
-            if v in fs or (v,) not in faces:
-                continue
-            if all(tuple(sorted(f[:i] + f[i + 1:] + (v,))) in faces
-                   for i in range(len(f))):
-                return t1
-    return t1 - 1
+    keeps = any(all(tuple(sorted(f[:i] + f[i + 1:] + (v,))) in faces for i in range(t1))
+                for f in c.minimal_non_faces() if len(f) == t1
+                for v in range(c.n) if v not in f)
+    return t1 if keeps else t1 - 1
 
 
 class RegPrediction(NamedTuple):
@@ -242,35 +238,23 @@ def sphere_family(d, seq):
     r = len(seq)
     if r == 0 or any(i < 0 for i in seq):
         raise ValueError("need a nonempty sequence of nonnegative integers")
-    j = sum(seq) + r
     if sum(seq) + 2 * r > d:
         raise ValueError(f"sequence {seq} violates the vertex budget for d={d}")
-    bounds = [0]
-    for l in range(1, r + 1):
-        bounds.append(sum(seq[:l]) + 2 * l)
-    w_sets = []
-    for l in range(1, r + 1):
-        prev = frozenset(range(bounds[l - 1]))
-        block = [x for x in range(bounds[l - 1], bounds[l])]
-        fam = set()
-        for mask in range(1, 1 << len(block)):
-            if mask == (1 << len(block)) - 1:
-                continue
-            sub = frozenset(block[i] for i in range(len(block)) if mask >> i & 1)
-            fam.add(sub | prev)
-        w_sets.append(fam)
-    c_set = set()
-    if r >= 2:
-        last_block = list(range(bounds[r - 1], bounds[r]))
-        b_pool = list(range(seq[0] + 2, bounds[r - 1]))
-        for mask in range(1, 1 << len(last_block)):
-            if mask == (1 << len(last_block)) - 1:
-                continue
-            a = frozenset(last_block[i] for i in range(len(last_block)) if mask >> i & 1)
-            for bmask in range(1 << len(b_pool)):
-                b = frozenset(b_pool[i] for i in range(len(b_pool)) if bmask >> i & 1)
-                c_set.add(a | b)
-    return w_sets, c_set
+    bounds = [0, *accumulate(i + 2 for i in seq)]   # factor l's labels: [bounds[l-1], bounds[l])
+
+    def subsets(pool, sizes):
+        return [frozenset(s) for k in sizes for s in combinations(pool, k)]
+
+    def proper(lo, hi):   # the nonempty proper subsets of lo .. hi-1
+        return subsets(range(lo, hi), range(1, hi - lo))
+
+    w_sets = [{s | frozenset(range(lo)) for s in proper(lo, hi)}
+              for lo, hi in zip(bounds, bounds[1:])]
+    if r < 2:
+        return w_sets, set()
+    pool = range(seq[0] + 2, bounds[-2])
+    return w_sets, {a | b for a in proper(*bounds[-2:])
+                    for b in subsets(pool, range(len(pool) + 1))}
 
 
 def labels_to_vertices(c, label_sets):
@@ -330,6 +314,20 @@ def perturbation_cases(d):
 # -- prediction vs computation ----------------------------------------------------
 
 
+def check_simplex_gate(kind, d, r, vertex_gate):
+    """Refuse a full table of subdivide(simplex(d - 1), kind, r) above
+    `vertex_gate` on its vertex count, 2^d - 1 ("bary") or C(r+d-1, d-1).
+    A count whose lower bound 2^low - 1 has more bits than both the gate
+    and 64 is refused by its formula, unbuilt."""
+    low = d if kind == "bary" else min(d - 1, r)
+    if low > max(vertex_gate.bit_length(), 64):
+        form = f"2^{d} - 1" if kind == "bary" else f"C({r + d - 1}, {d - 1})"
+        raise VertexGateError(f"{form} vertices exceed the subset-enumeration "
+                              f"gate {vertex_gate}")
+    check_vertex_gate((1 << d) - 1 if kind == "bary" else comb(r + d - 1, d - 1),
+                      vertex_gate)
+
+
 def verify_predictions(kind, d, r=1, field=GF2,
                        vertex_gate=DEFAULT_VERTEX_GATE, workers=1):
     """Compare the strand predictions with a fully computed Betti table.
@@ -345,15 +343,14 @@ def verify_predictions(kind, d, r=1, field=GF2,
         raise ValueError(f"strand predictions need d >= 2, got d={d}")
     if kind == "bary" and r != 1:
         raise ValueError(f"barycentric strand windows are for r = 1, got r={r}")
-    # predict and gate on the closed-form vertex count, so that r < d and
-    # oversized subdivisions are refused before the subdivision is built
+    if kind == "edgewise" and r < d:
+        raise ValueError("strand windows for edgewise subdivision need r >= d")
+    # gate first: each prediction holds numbers as large as the vertex count
+    check_simplex_gate(kind, d, r, vertex_gate)
     if kind == "bary":
-        n = (1 << d) - 1
         predictions = [predict_strand_bary(d, j) for j in range(1, d)]
     else:
-        n = comb(r + d - 1, d - 1)
         predictions = [predict_strand_edgewise(d, j, r) for j in range(1, d)]
-    check_vertex_gate(n, vertex_gate)
     sub = subdivide(simplex(d - 1), kind, r)
     expected_pdim = predictions[0].pdim
     table = graded_betti_table(sub, field, vertex_gate=vertex_gate, workers=workers)
@@ -415,7 +412,7 @@ def reg_after_subdivision(base, mode, r, field, vertex_gate=DEFAULT_VERTEX_GATE,
     if v is None:
         raise GateError(f"edgewise r={r} < d={d} without top homology: only a "
                         f"lower bound on reg above the vertex gate {vertex_gate}")
-    witness = list(sub.link((v,)).vertex_map)
-    if reduced_betti(sub.induced(witness), field).get(d - 2, 0) == 0:
+    witness = sub.link((v,)).vertex_map
+    if all(j != d - 1 for _, j, _ in betti_witness(sub, field, witness)):
         raise ValueError("witness subset does not carry degree d-2 homology")
     return d - 1

@@ -469,7 +469,7 @@ def betti_witness(c, field, w):
 
 def strand_profile(table, j):
     """Endpoints and internal zero set of strand j of a table."""
-    nz = sorted(i for (i, jj), v in table.entries.items() if jj == j and v)
+    nz = sorted(table.strand(j))
     if not nz:
         return StrandProfile(j, None, None, ())
     lo, hi = nz[0], nz[-1]

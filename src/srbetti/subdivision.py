@@ -32,6 +32,15 @@ from math import factorial
 from .complexes import FACE_GATE, GateError, SimplicialComplex
 
 
+def _check_levels(c, r):
+    """Refuse r levels of barycentric subdivision of c, before any is built,
+    when the last, with sum_g (|g|!)^r facets, would pass FACE_GATE; one
+    term passes it alone once |g|, or r with |g| >= 2, reaches cap."""
+    cap = FACE_GATE.bit_length()
+    if sum(factorial(min(len(g), cap)) ** min(r, cap) for g in c.facets) > FACE_GATE:
+        raise GateError("iterated subdivision exceeds the face gate")
+
+
 def barycentric(c):
     """Order complex of the nonempty faces of c.
 
@@ -42,8 +51,7 @@ def barycentric(c):
     |g|! facets; above FACE_GATE in all, GateError is raised before
     anything is built.
     """
-    if sum(factorial(len(g)) for g in c.facets) > FACE_GATE:
-        raise GateError("iterated subdivision exceeds the face gate")
+    _check_levels(c, 1)
     # faces by size, then lex: ids ascend along every chain of prefixes
     verts = [f for k in range(c.dim + 1) for f in c.faces_of_dim(k)]
     if not verts:
@@ -55,9 +63,12 @@ def barycentric(c):
 
 
 def barycentric_iter(c, r):
-    """r-fold barycentric subdivision; r = 0 returns c unchanged."""
+    """r-fold barycentric subdivision, gated before any level is built;
+    r = 0 returns c unchanged."""
     if r < 0:
         raise ValueError("subdivision depth must be nonnegative")
+    if r:
+        _check_levels(c, r)
     for _ in range(r):
         c = barycentric(c)
     return c

@@ -19,7 +19,6 @@ from srbetti.complexes import (
 from srbetti import asymptotics, subdivision
 from srbetti.homology import GF2, QQ, FieldSpec, top_homology_nonzero
 from srbetti.asymptotics import (
-    MinimalCycle,
     asymptotic_window,
     eigendecompose,
     f_iterate_sd,
@@ -75,7 +74,7 @@ def _support_vertices(c, mode, r):
     label in the previous level's kept vertices suffices.  At bary r = 0
     the support counts its own vertices, not c's ambient ids.
     """
-    faces = set(minimal_top_cycle(c).induced.face_set) - {()}
+    faces = set(minimal_top_cycle(c).face_set) - {()}
     if mode == "bary" and r == 0:
         return len({v for f in faces for v in f})
     if mode == "edgewise":
@@ -326,19 +325,19 @@ class TestVertexCount:
 class TestMinimalCycle:
     def test_hollow_triangle(self):
         mc = minimal_top_cycle(simplex_boundary(2))
-        assert mc.f == (1, 3, 3)
-        assert mc.support == ((0, 1), (0, 2), (1, 2))
+        assert mc.f_vector() == (1, 3, 3)
+        assert mc.facets == ((0, 1), (0, 2), (1, 2))
 
     def test_pendants(self, pendants):
         mc = minimal_top_cycle(pendants)
-        assert mc.f[-1] == 3
+        assert mc.f_vector()[-1] == 3
 
     def test_stacked_sphere_with_attachments(self):
         base = stacked_sphere(2, 6)
         c = stacked_attach(base, 3, base.faces_of_dim(1)[0])
         mc = minimal_top_cycle(c)
-        assert mc.f == base.f_vector()
-        assert set(mc.support) == set(base.facets)
+        assert mc.f_vector() == base.f_vector()
+        assert set(mc.facets) == set(base.facets)
 
     def test_minimal_in_partial_order(self):
         # no enumerated cycle support beats the winner in reverse order
@@ -360,7 +359,7 @@ class TestMinimalCycle:
                     vec = [(a + b) % 2 for a, b in zip(vec, bas)]
             support = [faces[i] for i, v in enumerate(vec) if v]
             other = SimplicialComplex(c.n, support)
-            assert tuple(reversed(mc.f)) <= tuple(reversed(other.f_vector()))
+            assert tuple(reversed(mc.f_vector())) <= tuple(reversed(other.f_vector()))
 
     def test_requires_top_homology(self):
         with pytest.raises(ValueError):
@@ -461,7 +460,7 @@ class TestVerifyLastStrand:
         # witness mode never builds the subdivision of c: every complex it
         # subdivides is a level of the minimal cycle support's tower, one
         # per level, on the support's own vertices
-        support = minimal_top_cycle(pendants).induced
+        support = minimal_top_cycle(pendants)
         tower = [support.induced({v for f in support.facets for v in f})]
         tower.append(barycentric(tower[0]))
         calls = []
@@ -561,7 +560,7 @@ class TestVerifyLastStrand:
         # what GF(3) reports
         c = _rp2_glued_to_sphere()
         assert asymptotics._cycle_field(c, QQ) == FieldSpec.prime(3)
-        assert asymptotics.minimal_top_cycle(c, FieldSpec.prime(3)).f == (1, 8, 18, 12)
+        assert asymptotics.minimal_top_cycle(c, FieldSpec.prime(3)).f_vector() == (1, 8, 18, 12)
         rep = verify_last_strand(c, r, QQ, mode="edgewise", vertex_gate=vertex_gate)
         assert (rep["method"], rep["v_sigma"]) == (method, v_sigma)
         assert rep["window"] == window and rep["window_nonzero"]

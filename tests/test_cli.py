@@ -132,6 +132,37 @@ def test_huge_ambient_n_exits_2(tmp_path, command, options):
                            "face gate 16777216\n")
 
 
+@pytest.mark.parametrize("argv", [
+    # 2^d overflows memory, and one prediction per strand holds such numbers
+    ["verify", "thm-bar", "--d", "100000"],
+    ["verify", "gorenstein", "--d", "10000000000"],
+    ["verify", "link", "--d", "10000000000"],
+    # C(r+d-1, d-1) per strand takes minutes
+    ["verify", "edgewise", "--d", "100000", "--r", "100000"],
+    # the facets alone would hold more than 2^24 vertex entries
+    ["generate", "standard", "cycle(50000000)"],
+    ["generate", "standard", "simplex_boundary(20000)"],
+    ["generate", "standard", "stacked_sphere(2, 40000002)"],
+    ["generate", "limit-example", "--d", "2", "--p", "0", "--q", "1",
+     "--scale", "50000000"],
+    # the tower's last level would hold 2^30 facets
+    ["subdivide", "EDGE", "--mode", "bary", "--r", "30"],
+], ids=lambda argv: "-".join(argv[:2]) + "-" + argv[-1])
+def test_oversized_requests_exit_2_before_building(tmp_path, argv):
+    # every size is gated in closed form before anything is built, so each
+    # run answers with one line in bounded time and memory
+    edge = tmp_path / "edge.json"
+    edge.write_text(dumps(simplex(1)))
+    argv = [str(edge) if a == "EDGE" else a for a in argv]
+    src = os.path.dirname(os.path.dirname(srbetti.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "srbetti.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src}, preexec_fn=_limit_memory,
+        capture_output=True, text=True, timeout=20)
+    assert done.returncode == 2 and not done.stdout
+    assert done.stderr.startswith("gate: ") and done.stderr.count("\n") == 1
+
+
 def test_edgewise_r1_of_a_large_facet(capsys, tmp_path):
     # r = 1 gives one facet per facet, so the face gate passes; the one
     # chain has 1,200 points, past Python's default recursion limit

@@ -2,7 +2,7 @@ import json
 import math
 import time
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -428,6 +428,27 @@ class TestStandardComplexes:
         assert s.f_vector() == (1, 5, 9, 6)
         with pytest.raises(ValueError):
             stacked_sphere(2, 5)
+
+    @staticmethod
+    def stacked_by_sorting(dim, n_facets):
+        """The stacking moves as a loop, kept as the oracle: pop the largest
+        facet, cone over its boundary from a fresh vertex, sort again."""
+        facets = sorted(combinations(range(dim + 2), dim + 1))
+        n = dim + 2
+        for _ in range((n_facets - dim - 2) // dim):
+            target = facets.pop()
+            facets.extend(target[:i] + target[i + 1:] + (n,) for i in range(dim + 1))
+            n += 1
+            facets.sort()
+        return from_facets(facets, n)
+
+    @pytest.mark.parametrize("dim", range(2, 7))
+    def test_stacked_sphere_matches_the_sorting_loop(self, dim):
+        for moves in range(41):
+            n_facets = dim + 2 + moves * dim
+            got = stacked_sphere(dim, n_facets)
+            want = self.stacked_by_sorting(dim, n_facets)
+            assert (got.n, got.facets) == (want.n, want.facets)
 
     def test_stacked_sphere_is_a_sphere(self):
         from srbetti.homology import reduced_betti

@@ -328,6 +328,16 @@ class TestRegAfterSubdivision:
         # of a top face's barycentre in sd^2 pins reg = 2
         assert reg_after_subdivision(simplex(2), "bary", 2, field) == 2
 
+    def test_witness_is_certified_by_betti_witness(self, monkeypatch, rp2):
+        # sd(RP^2) has 31 vertices and no rational top homology, so reg = 2
+        # rests on one witness subset, which betti_witness must certify
+        from srbetti import formulas
+
+        assert reg_after_subdivision(rp2, "bary", 1, QQ) == 2
+        monkeypatch.setattr(formulas, "betti_witness", lambda *args: [])
+        with pytest.raises(ValueError, match="witness"):
+            reg_after_subdivision(rp2, "bary", 1, QQ)
+
     def test_lower_bound_only_is_gated(self):
         with pytest.raises(GateError, match="lower bound"):
             reg_after_subdivision(barycentric(simplex(2)), "edgewise", 2, QQ,
@@ -388,6 +398,37 @@ class TestSphereFamily:
     def test_budget_violation(self):
         with pytest.raises(ValueError):
             sphere_family(4, (0, 1))  # needs d >= 5
+
+    @staticmethod
+    def family_by_bitmasks(d, seq):
+        """The families enumerated over bitmasks, kept as the oracle."""
+        r = len(seq)
+        bounds = [sum(seq[:l]) + 2 * l for l in range(r + 1)]
+
+        def proper(block):
+            full = (1 << len(block)) - 1
+            return [frozenset(x for i, x in enumerate(block) if mask >> i & 1)
+                    for mask in range(1, full)]
+
+        w_sets = [{s | frozenset(range(bounds[l - 1]))
+                   for s in proper(range(bounds[l - 1], bounds[l]))}
+                  for l in range(1, r + 1)]
+        c_set = set()
+        if r >= 2:
+            pool = range(seq[0] + 2, bounds[r - 1])
+            for a in proper(range(bounds[r - 1], bounds[r])):
+                for mask in range(1 << len(pool)):
+                    c_set.add(a | {x for i, x in enumerate(pool) if mask >> i & 1})
+        return w_sets, c_set
+
+    def test_matches_the_bitmask_enumeration(self):
+        count = 0
+        for d in range(2, 13):
+            for j in range(1, d):
+                for seq in admissible_sequences(d, j):
+                    assert sphere_family(d, seq) == self.family_by_bitmasks(d, seq)
+                    count += 1
+        assert count == 259
 
 
 class TestPerturbationInequalities:
