@@ -549,6 +549,9 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError:   # a request too large for this process, not a failed claim
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

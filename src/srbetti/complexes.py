@@ -65,7 +65,7 @@ class SimplicialComplex:
 
     __slots__ = (
         "n", "facets", "labels", "vertex_map",
-        "_faces_by_dim", "_face_set", "_mnf",
+        "_faces_by_dim", "_face_set", "_t1",
     )
 
     def __init__(self, n, facets, labels=None, vertex_map=None):
@@ -86,7 +86,7 @@ class SimplicialComplex:
         self.vertex_map = vertex_map
         self._faces_by_dim = None
         self._face_set = None
-        self._mnf = None
+        self._t1 = None
 
     # -- basic structure -------------------------------------------------
 
@@ -189,49 +189,52 @@ class SimplicialComplex:
 
     # -- non-faces ---------------------------------------------------------
 
-    def minimal_non_faces(self):
-        """Inclusion-minimal vertex sets that are not faces.
+    def minimal_non_faces(self, k):
+        """Inclusion-minimal non-faces with k vertices, lazily, in lex order.
 
-        Each one of size k >= 3 is a face f plus a vertex v > max f joined
-        to every vertex of f, so v is drawn from the AND of f's neighbour
-        bitmasks; size 2 is a non-edge between two vertices.  They are
-        found in (size, lex) order: f ascends, then v for each f.
+        Size 1 is a ghost id, in no face; size 2 a non-edge between two
+        vertices.  One of size k >= 3 is a face f plus a vertex v > max f
+        joined to every vertex of f, so v is drawn from the AND of f's
+        neighbour bitmasks: f ascends, then v for each f.
         """
-        if self._mnf is not None:
-            return self._mnf
-        faces = self.face_set
-        present = [v for (v,) in self.faces_of_dim(0)]
-        live = set(present)
-        out = [(v,) for v in range(self.n) if v not in live]
+        if k == 1:
+            live = {v for (v,) in self.faces_of_dim(0)}
+            yield from ((v,) for v in range(self.n) if v not in live)
+            return
+        if not 2 <= k <= self.dim + 2:  # less any one vertex, it is a face
+            return
         nbr = _adjacency(self)
-        out.extend((u, v) for u in present for v in present
-                   if v > u and not nbr[u] >> v & 1)
-        for k in range(3, self.dim + 3):
-            for f in self.faces_of_dim(k - 2):
-                common = -1
-                for u in f:
-                    common &= nbr[u]
-                common >>= f[-1] + 1
-                v = f[-1]
-                while common:
-                    step = (common & -common).bit_length()
-                    common >>= step
-                    v += step
-                    t = f + (v,)
-                    if t not in faces and all(
-                            t[:i] + t[i + 1:] in faces for i in range(k - 1)):
-                        out.append(t)
-        self._mnf = tuple(out)
-        return self._mnf
+        if k == 2:
+            present = [v for (v,) in self.faces_of_dim(0)]
+            yield from ((u, v) for u in present for v in present
+                        if v > u and not nbr[u] >> v & 1)
+            return
+        faces = self.face_set
+        for f in self.faces_of_dim(k - 2):
+            common = -1
+            for u in f:
+                common &= nbr[u]
+            common >>= f[-1] + 1
+            v = f[-1]
+            while common:
+                step = (common & -common).bit_length()
+                common >>= step
+                v += step
+                t = f + (v,)
+                if t not in faces and all(
+                        t[:i] + t[i + 1:] in faces for i in range(k - 1)):
+                    yield t
 
     def t1(self):
         """Largest cardinality of a minimal non-face (0 for a full simplex)."""
-        mnf = self.minimal_non_faces()
-        return max((len(f) for f in mnf), default=0)
+        if self._t1 is None:
+            self._t1 = next((k for k in range(self.dim + 2, 0, -1)
+                             if next(self.minimal_non_faces(k), None) is not None), 0)
+        return self._t1
 
     def is_flag(self):
         """True if every minimal non-face is an edge, or there is none."""
-        return all(len(f) == 2 for f in self.minimal_non_faces())
+        return self.t1() in (0, 2) and next(self.minimal_non_faces(1), None) is None
 
 
 def from_facets(facet_list, n, labels=None):

@@ -189,7 +189,7 @@ def predict_t1_edgewise(c, r):
         return 2
     faces = c.face_set
     keeps = any(all(tuple(sorted(f[:i] + f[i + 1:] + (v,))) in faces for i in range(t1))
-                for f in c.minimal_non_faces() if len(f) == t1
+                for f in c.minimal_non_faces(t1)
                 for v in range(c.n) if v not in f)
     return t1 if keeps else t1 - 1
 

@@ -20,6 +20,14 @@ the region, are built directly instead of searched for.  A face's link
 needs only the chains based within one unit below it, and by (i) a face
 lies on the boundary exactly when its labels share a zero coordinate, so
 neither needs the whole subdivision.
+
+Both subdivisions are one facet-local lift: a template of the
+subdivided simplex on k vertices gives its points, and its facets as chains
+of indices into them.  Each point of a facet g is keyed by g's own ids, a
+face by (size, sorted ids) and a composition by its (id, -part) pairs over
+its positive parts.  The sorted keys number and label the new vertices:
+faces by size, then lex, so that ids ascend along every chain of prefixes,
+and compositions in descending lexicographic order.
 """
 
 from __future__ import annotations
@@ -52,14 +60,9 @@ def barycentric(c):
     anything is built.
     """
     _check_levels(c, 1)
-    # faces by size, then lex: ids ascend along every chain of prefixes
-    verts = [f for k in range(c.dim + 1) for f in c.faces_of_dim(k)]
-    if not verts:
-        return SimplicialComplex(0, [()])
-    vid = {sum(1 << v for v in f): i for i, f in enumerate(verts)}
-    facets = [tuple(vid[m] for m in accumulate(1 << v for v in perm))
-              for g in c.facets for perm in permutations(g)]
-    return SimplicialComplex(len(verts), facets, labels=tuple(map(frozenset, verts)))
+    return _lift(c, _simplex_barycentric_facets,
+                 lambda g, m: (m.bit_count(), tuple(v for i, v in enumerate(g) if m >> i & 1)),
+                 lambda key: frozenset(key[1]))
 
 
 def barycentric_iter(c, r):
@@ -82,6 +85,33 @@ def subdivide(c, mode, r):
     if mode == "edgewise":
         return edgewise(c, r)
     raise ValueError(f"unknown subdivision mode {mode!r}")
+
+
+def _lift(c, template, key, label):
+    """Lift template(|g|)'s chains onto each nonempty facet g of c through
+    key(g, point); one dict shares equal keys, then numbers them."""
+    template = lru_cache(maxsize=None)(template)   # once per facet size, for this call
+    ids = {}   # key -> itself, then -> its vertex id
+    lifted = []   # per facet: its chains, and its points' keys, then ids
+    for g in filter(None, c.facets):
+        points, chains = template(len(g))
+        lifted.append((chains, [ids.setdefault(k := key(g, p), k) for p in points]))
+    if not lifted:
+        return SimplicialComplex(0, [()])
+    keys = sorted(ids)
+    ids.update(zip(keys, range(len(keys))))
+    for _, local in lifted:
+        local[:] = map(ids.__getitem__, local)
+    return SimplicialComplex(len(keys), (tuple(map(local.__getitem__, chain))
+                                         for chains, local in lifted for chain in chains),
+                             labels=map(label, keys))
+
+
+def _simplex_barycentric_facets(k):
+    """Point m - 1 is the nonempty subset of range(k) with bitmask m; the
+    chains are the prefixes of the k! permutations."""
+    return range(1, 1 << k), tuple(tuple(m - 1 for m in accumulate(1 << i for i in perm))
+                                   for perm in permutations(range(k)))
 
 
 def _chains(r, bases):
@@ -111,11 +141,13 @@ def _chains(r, bases):
     return chains
 
 
-@lru_cache(maxsize=None)
 def _simplex_edgewise_facets(k, r):
-    """Facets of the r-th edgewise subdivision of a simplex on k vertices:
-    the r^(k-1) chains from every weakly increasing base, sorted."""
-    return tuple(sorted(_chains(r, combinations_with_replacement(range(r), k - 1))))
+    """The r-th edgewise subdivision of a simplex on k vertices: the points
+    of its r^(k-1) chains, and the chains as indices into them."""
+    index = {}
+    chains = tuple(tuple(index.setdefault(a, len(index)) for a in chain)
+                   for chain in _chains(r, combinations_with_replacement(range(r), k - 1)))
+    return tuple(index), chains
 
 
 def edgewise_link(face):
@@ -158,34 +190,20 @@ def edgewise(c, r):
     support reduces to the same condition on the restricted coordinates.
     Each facet g of c becomes r^(|g|-1) facets; above FACE_GATE in all,
     GateError is raised before anything is built.
-
-    A vertex is keyed by its (id, -part) pairs over its positive parts, once
-    per point of each facet's template.  Compositions of one sum r descend
-    lexicographically exactly as these keys ascend, so the keys are sorted
-    and each n-long label is built once per vertex.
     """
     if r < 1:
         raise ValueError("edgewise subdivision needs r >= 1")
     if sum(r ** (len(g) - 1) for g in c.facets if g) > FACE_GATE:
         raise GateError("edgewise subdivision exceeds the face gate")
-    lifted = []   # facets on vertex keys
-    for g in filter(None, c.facets):
-        template = _simplex_edgewise_facets(len(g), r)
-        points = {b for sf in template for b in sf}
-        key = {b: tuple((v, -x) for v, x in zip(g, b) if x) for b in points}
-        lifted.extend([key[b] for b in sf] for sf in template)
-    if not lifted:
-        return SimplicialComplex(0, [()])
-    keys = sorted({k for f in lifted for k in f})
-    vid = {k: i for i, k in enumerate(keys)}
-    labels = []
-    for k in keys:
+
+    def label(key):
         a = [0] * c.n
-        for v, x in k:
+        for v, x in key:
             a[v] = -x
-        labels.append(tuple(a))
-    return SimplicialComplex(len(keys), [[vid[k] for k in f] for f in lifted],
-                             labels=labels)
+        return tuple(a)
+
+    return _lift(c, lambda k: _simplex_edgewise_facets(k, r),
+                 lambda g, b: tuple((v, -x) for v, x in zip(g, b) if x), label)
 
 
 # -- interiority -------------------------------------------------------------

@@ -97,6 +97,17 @@ def test_subdivide_edgewise_gate(capsys, tmp_path, monkeypatch):
     assert err.startswith("gate:") and err.count("\n") == 1
 
 
+def test_out_of_memory_exits_2(capsys, c6_file, monkeypatch):
+    # exit 1 means a verified claim failed; running out of memory is not one
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_subdivide", exhausted)
+    code, out, err = run(capsys, "subdivide", c6_file, "--mode", "bary", "--r", "2")
+    assert code == 2 and out == ""
+    assert err == "error: out of memory\n"
+
+
 def test_subdivide_bary_gate(capsys, tmp_path):
     # level 2 of simplex(6) would build 5040 * 7! > 2^24 facets
     p = tmp_path / "s6.json"
@@ -130,6 +141,20 @@ def test_huge_ambient_n_exits_2(tmp_path, command, options):
     assert done.returncode == 2 and not done.stdout
     assert done.stderr == ("gate: 3000000000 ambient vertex ids exceed the "
                            "face gate 16777216\n")
+
+
+def test_info_on_2_24_ids(tmp_path):
+    # t1 and flagness stop at the first ghost id: no list of 2^24 1-tuples
+    p = tmp_path / "ghosts.json"
+    p.write_text(json.dumps({"n": 1 << 24, "facets": [[0, 1]]}))
+    src = os.path.dirname(os.path.dirname(srbetti.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "srbetti.cli", "info", str(p)],
+        env={**os.environ, "PYTHONPATH": src}, preexec_fn=_limit_memory,
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0 and done.stderr == ""
+    assert json.loads(done.stdout) == {"dim": 1, "f_vector": [1, 2, 1], "facets": 1,
+                                       "flag": False, "n": 1 << 24, "t1": 1}
 
 
 @pytest.mark.parametrize("argv", [

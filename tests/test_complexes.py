@@ -190,7 +190,7 @@ class TestFaceGate:
     def test_ambient_ids(self, monkeypatch):
         # ids in no face still cost per-id work, such as minimal non-faces
         monkeypatch.setattr(complexes, "FACE_GATE", 4)
-        assert len(SimplicialComplex(4, [(0, 1)]).minimal_non_faces()) == 2
+        assert list(SimplicialComplex(4, [(0, 1)]).minimal_non_faces(1)) == [(2,), (3,)]
         with pytest.raises(GateError):
             SimplicialComplex(5, [(0, 1)])
 
@@ -253,17 +253,17 @@ class TestLink:
 class TestMinimalNonFaces:
     def test_hollow_triangle(self):
         c = simplex_boundary(2)
-        assert c.minimal_non_faces() == ((0, 1, 2),)
+        assert list(c.minimal_non_faces(3)) == [(0, 1, 2)]
+        assert list(c.minimal_non_faces(2)) == []
         assert c.t1() == 3
 
     def test_cycle(self, c6):
-        mnf = c6.minimal_non_faces()
-        assert len(mnf) == 9
-        assert all(len(f) == 2 for f in mnf)
+        assert len(list(c6.minimal_non_faces(2))) == 9
+        assert list(c6.minimal_non_faces(3)) == []
         assert c6.t1() == 2
 
     def test_full_simplex(self):
-        assert simplex(2).minimal_non_faces() == ()
+        assert all(list(simplex(2).minimal_non_faces(k)) == [] for k in range(6))
         assert simplex(2).t1() == 0
 
     @given(random_complexes())
@@ -272,16 +272,25 @@ class TestMinimalNonFaces:
         # and with two ghost ids, one below every id in a face
         ghosted = from_facets([[v + 1 for v in f] for f in c.facets], c.n + 2)
         for g in (c, ghosted):
-            assert g.minimal_non_faces() == minimal_non_faces_bruteforce(g)
+            self.check_by_size(g)
 
     def test_subdivided_simplex_matches_bruteforce(self, sd_simplex3):
-        assert sd_simplex3.minimal_non_faces() == minimal_non_faces_bruteforce(sd_simplex3)
+        self.check_by_size(sd_simplex3)
+
+    @staticmethod
+    def check_by_size(c):
+        """Each size against the oracle, with t1 and flagness read off it."""
+        want = minimal_non_faces_bruteforce(c)
+        for k in range(c.dim + 4):
+            assert tuple(c.minimal_non_faces(k)) == tuple(f for f in want if len(f) == k)
+        assert c.t1() == max(map(len, want), default=0)
+        assert c.is_flag() == all(len(f) == 2 for f in want)
 
     @given(random_complexes())
     @settings(max_examples=40, deadline=None)
     def test_minimality(self, c):
         faces = c.face_set
-        for f in c.minimal_non_faces():
+        for f in (f for k in range(1, c.dim + 3) for f in c.minimal_non_faces(k)):
             assert f not in faces
             assert all(f[:i] + f[i + 1:] in faces for i in range(len(f)))
 

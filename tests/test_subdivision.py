@@ -4,8 +4,10 @@ from math import factorial
 
 import pytest
 
-from srbetti.complexes import GateError, cycle, is_isomorphic, simplex, simplex_boundary
+from srbetti.complexes import (GateError, SimplicialComplex, cycle, dumps, from_facets,
+                               is_isomorphic, simplex, simplex_boundary)
 from srbetti.subdivision import (
+    _simplex_barycentric_facets,
     _simplex_edgewise_facets,
     barycentric,
     barycentric_iter,
@@ -58,6 +60,37 @@ class TestBarycentric:
         with pytest.raises(GateError, match="face gate"):
             barycentric(simplex(10))
         assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_simplex_facets_are_maximal_chains(self, k):
+        # the template's points are the nonempty subsets of range(k) as
+        # bitmasks, and its chains the k! maximal chains, smallest set first
+        points, chains = _simplex_barycentric_facets(k)
+        assert sorted(points) == list(range(1, 1 << k))
+        chains_as_sets = {tuple(frozenset(i for i in range(k) if points[j] >> i & 1)
+                                for j in chain) for chain in chains}
+        assert len(chains) == len(chains_as_sets) == factorial(k)
+        assert all(len(sets[j]) == j + 1 and sets[j] < sets[j + 1]
+                   for sets in chains_as_sets for j in range(k - 1))
+
+
+@pytest.mark.parametrize("subdivide_once", [
+    barycentric, lambda c: edgewise(c, 3)], ids=["barycentric", "edgewise"])
+def test_input_faces_are_never_enumerated(monkeypatch, pendants, subdivide_once):
+    # both subdivisions read only the input's facets; the third input is
+    # non-pure, with the ghost id 5
+    def inputs():
+        return [simplex(3), pendants, from_facets([(1, 2, 3), (0, 2), (4,)], 6)]
+
+    want = [dumps(subdivide_once(c)) for c in inputs()]
+
+    def refuse(self):
+        raise AssertionError("faces of the input were enumerated")
+
+    with monkeypatch.context() as m:
+        m.setattr(SimplicialComplex, "_enumerate_faces", refuse)
+        got = [dumps(subdivide_once(c)) for c in inputs()]
+    assert got == want
 
 
 class TestBarycentricIter:
@@ -153,7 +186,9 @@ class TestEdgewise:
                                           if compatible(a, b)])
 
             extend([], verts)
-            facets = _simplex_edgewise_facets(k, r)
+            points, chains = _simplex_edgewise_facets(k, r)
+            assert len(set(points)) == len(points) == len(verts)
+            facets = [tuple(points[i] for i in chain) for chain in chains]
             assert {frozenset(f) for f in facets} == cliques
             assert len(facets) == r ** (k - 1)
             assert all(list(f) == sorted(f, reverse=True) for f in facets)
