@@ -7,10 +7,11 @@ face enumeration is cached lazily and gated, because the subset-homology
 machinery re-enumerates faces of many induced subcomplexes and needs the
 ambient complex to stay cheap.
 
-The constructor sorts, checks and deduplicates any facet list, then drops
-every facet contained in another unless all facets have one size: sets of
-one size are an antichain already, so a pure complex, such as a
-subdivision of one, skips that reduction.
+The constructor sorts each facet, deduplicates and checks the list in input
+order, and drops every facet contained in another unless all facets have one
+size: sets of one size are an antichain already, so a pure complex, such as
+a subdivision of one, skips that reduction.  One sort of what is left ends
+the pass, and the ascending runs of a subdivision or a file stay runs for it.
 
 Vertices may carry labels (frozenset for subdivision vertices that remember
 a face, tuple for lattice compositions, str for plain names).  Labels are
@@ -32,32 +33,28 @@ class GateError(RuntimeError):
 
 
 def _canonical_facets(facet_list, n):
-    seen = set()
-    for f in facet_list:
-        t = tuple(sorted(f))
+    facets = list(dict.fromkeys(map(tuple, map(sorted, facet_list)))) or [()]
+    for t in facets:
         if len(set(t)) != len(t):
-            raise ValueError(f"duplicate vertex in facet {tuple(f)!r}")
+            raise ValueError(f"duplicate vertex in facet {t!r}")
         if t and (t[0] < 0 or t[-1] >= n):
-            raise ValueError(f"vertex out of range 0..{n - 1} in facet {tuple(f)!r}")
-        seen.add(t)
-    if not seen:
-        seen.add(())
-    sizes = {len(t) for t in seen}
-    if len(sizes) == 1:  # sets of one size: an antichain already
-        return tuple(sorted(seen))
-    # antichain reduction: drop facets dominated by a larger one; a facet
-    # of the largest size never is
-    top = max(sizes)
-    kept = []
-    by_vertex = {}  # vertex -> kept frozensets containing it
-    for t in sorted(seen, key=len, reverse=True):
-        s = frozenset(t)
-        if len(t) < top and (not t or any(s <= k for k in by_vertex.get(t[0], ()))):
-            continue
-        kept.append(t)
-        for v in t:
-            by_vertex.setdefault(v, []).append(s)
-    return tuple(sorted(kept))
+            raise ValueError(f"vertex out of range 0..{n - 1} in facet {t!r}")
+    sizes = {len(t) for t in facets}
+    if len(sizes) > 1:  # sets of one size are an antichain already
+        # antichain reduction: drop facets dominated by a larger one; a
+        # facet of the largest size never is
+        top = max(sizes)
+        kept = []
+        by_vertex = {}  # vertex -> kept frozensets containing it
+        for t in sorted(facets, key=len, reverse=True):
+            s = frozenset(t)
+            if len(t) < top and (not t or any(s <= k for k in by_vertex.get(t[0], ()))):
+                continue
+            kept.append(t)
+            for v in t:
+                by_vertex.setdefault(v, []).append(s)
+        facets = kept
+    return tuple(sorted(facets))
 
 
 class SimplicialComplex:
@@ -523,13 +520,6 @@ def _decode_label(obj):
     raise ValueError(f"unsupported label encoding {obj!r}")
 
 
-def to_json_dict(c):
-    out = {"n": c.n, "facets": [list(f) for f in c.facets]}
-    if c.labels is not None:
-        out["labels"] = [_encode_label(lab) for lab in c.labels]
-    return out
-
-
 def from_json_dict(d):
     """Complex from its JSON object; ValueError if the object is malformed."""
     if not isinstance(d, dict) or "n" not in d or "facets" not in d:
@@ -549,7 +539,11 @@ def from_json_dict(d):
 
 
 def dumps(c):
-    return json.dumps(to_json_dict(c), sort_keys=True, separators=(",", ": ")) + "\n"
+    # the encoder writes tuples as arrays, so the stored facets go out as they are
+    out = {"n": c.n, "facets": c.facets}
+    if c.labels is not None:
+        out["labels"] = [_encode_label(lab) for lab in c.labels]
+    return json.dumps(out, sort_keys=True, separators=(",", ": ")) + "\n"
 
 
 def loads(text):

@@ -357,6 +357,8 @@ def test_malformed_input(capsys, tmp_path):
 @pytest.mark.parametrize("blob, word", [
     ({"facets": [[0, 1]]}, '"n"'),                # missing key
     ({"n": 2, "facets": [["a", "b"]]}, "facet"),  # string vertex ids
+    ({"n": 3, "facets": [[3, 0]]}, "out of range"),
+    ({"n": 3, "facets": [[1, 1]]}, "duplicate vertex"),
 ])
 def test_malformed_complex_schema(capsys, tmp_path, blob, word):
     bad = tmp_path / "bad.json"

@@ -504,6 +504,18 @@ def test_json_round_trip(sd_simplex2, c6):
     assert dumps(c6) == dumps(loads(dumps(c6)))
 
 
+def test_dumps_bytes_are_pinned():
+    # the file format itself: a round trip would pass if it changed
+    assert dumps(barycentric(simplex(1))) == (
+        '{"facets": [[0,2],[1,2]],"labels": [{"set": [0]},{"set": [1]},'
+        '{"set": [0,1]}],"n": 3}\n')
+    assert dumps(edgewise(simplex(2), 2)) == (
+        '{"facets": [[0,1,2],[1,2,4],[1,3,4],[2,4,5]],"labels": '
+        '[{"lattice": [2,0,0]},{"lattice": [1,1,0]},{"lattice": [1,0,1]},'
+        '{"lattice": [0,2,0]},{"lattice": [0,1,1]},{"lattice": [0,0,2]}],"n": 6}\n')
+    assert dumps(cycle(4)) == '{"facets": [[0,1],[0,3],[1,2],[2,3]],"n": 4}\n'
+
+
 def test_json_label_kinds():
     c = SimplicialComplex(3, [[0, 1], [2]],
                           labels=(frozenset({0, 1}), (1, 0), "apex"))
