@@ -174,21 +174,31 @@ def vertex_count(c, mode, r):
 
 
 def minimal_top_cycle(c, field=GF2):
-    """Enumerate the nonzero top cycles over a prime field and return the
-    support complex, on c's ids, of one whose support has the smallest
-    f-vector in the order that compares indices from the top dimension
-    downward.
+    """The support complex, on c's ids, of the minimal top cycle over
+    `field`: of the nonzero top cycles over a prime field, one whose support
+    has the smallest f-vector in the order that compares indices from the
+    top dimension downward, ties broken by the lexicographically smallest
+    support.
 
-    Ties are broken by the lexicographically smallest support.  The whole
-    kernel is enumerated, so p^k is gated; the intended inputs have tiny
-    top cycle spaces.
+    Over Q the cycles are enumerated over the smallest GF(p) in which the
+    top boundary of c keeps its rational rank, so that the top cycle spaces
+    have equal dimension.  That GF(p) cycle serves when its support carries
+    a rational top cycle: every GF(p) top cycle lifts to an integer one, and
+    a primitive integer cycle reduces mod p to a GF(p) cycle on a
+    sub-support, so the minimal f-vectors agree.  Raises ValueError when it
+    carries none.  The whole kernel is enumerated, so p^k is gated; the
+    intended inputs have tiny top cycle spaces.
     """
-    if not field.p:
-        raise ValueError("cycle enumeration needs a prime field")
     d = c.dim
     if d < 0:
         raise ValueError("complex has no top dimension")
-    p = field.p
+    prime = field
+    if not field.p:
+        cols = boundary_columns(c, d)
+        rank = boundary_rank(cols, field)
+        prime = next(FieldSpec(p) for p in count(2) if _is_prime(p)
+                     and boundary_rank(cols, FieldSpec(p)) == rank)
+    p = prime.p
     basis = kernel_basis(c, d, p)
     k = len(basis)
     if k == 0:
@@ -206,48 +216,21 @@ def minimal_top_cycle(c, field=GF2):
         key = (tuple(reversed(sub.f_vector())), support)
         if best is None or key < best[0]:
             best = (key, sub)
-    return best[1]
-
-
-def _cycle_field(c, field):
-    """The prime field whose minimal top cycle serves `field`: field itself
-    when it is GF(p), and over Q the smallest GF(p) in which the top
-    boundary of c keeps its rational rank, so that the top cycle spaces
-    have equal dimension."""
-    if field.p:
-        return field
-    cols = boundary_columns(c, c.dim)
-    rank = boundary_rank(cols, field)
-    return next(FieldSpec(p) for p in count(2) if _is_prime(p)
-                and boundary_rank(cols, FieldSpec(p)) == rank)
-
-
-def _minimal_support(c, field):
-    """The support complex, on its own vertices, of the minimal top cycle
-    that serves `field`: the one over `_cycle_field(c, field)`.
-
-    Over Q that GF(p) cycle serves when its support carries a rational top
-    cycle: every GF(p) top cycle lifts to an integer one, and a primitive
-    integer cycle reduces mod p to a GF(p) cycle on a sub-support, so the
-    minimal f-vectors agree.  Raises ValueError when it carries none.
-    """
-    prime = _cycle_field(c, field)
-    cyc = minimal_top_cycle(c, prime)
-    support = cyc.induced({v for f in cyc.facets for v in f})
-    if not (field.p or top_homology_nonzero(support, field)):
+    cyc = best[1]
+    if not (field.p or top_homology_nonzero(cyc, field)):
         raise ValueError(f"Q window unknown: the {prime} minimal top cycle's "
                          f"support carries no rational top cycle")
-    return support
+    return cyc
 
 
 def last_strand_limit(c, field=GF2):
     """Limiting fraction of nonzero entries in the last strand under
     iterated subdivision: 1 - f_top(minimal cycle) / f_top(c), with the
-    minimal cycle that serves `field` (`_minimal_support`).
+    minimal top cycle over `field`.
 
     The same value covers barycentric and edgewise subdivision.
     """
-    top = _minimal_support(c, field).f_vector()[-1]
+    top = minimal_top_cycle(c, field).f_vector()[-1]
     return Fraction(1) - Fraction(top, c.f_vector()[-1])
 
 
@@ -292,7 +275,7 @@ def verify_last_strand(c, r, field, mode="bary",
     subdivided support on its own vertices, beta_{i,i+d} must be nonzero
     for V - d <= i <= pdim.  Over Q the minimal cycle is taken over the
     smallest GF(p) in which the top boundary keeps its rational rank
-    (`_minimal_support`).  Within the vertex gate, checked against
+    (`minimal_top_cycle`).  Within the vertex gate, checked against
     `vertex_count(c, mode, r)`, the window is read off the full table, and
     zeros below it are reported as observations.
     Above it sd^r(c) is never built, and one rank certifies the whole
@@ -319,7 +302,8 @@ def verify_last_strand(c, r, field, mode="bary",
     if table.reg() < d:
         raise ValueError(f"no top homology over {field}: the last-strand "
                          f"theorem does not apply")
-    support = _minimal_support(c, field)
+    cyc = minimal_top_cycle(c, field)
+    support = cyc.induced(set().union(*cyc.facets))
     v_sigma = vertex_count(support, mode, r)
     lo = v_sigma - d
     zeros, nonzeros = [], []

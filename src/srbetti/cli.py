@@ -20,7 +20,11 @@ EXIT_CONFIG = 2
 
 def _read_complex(path):
     with open(path) as fh:
-        return complexes.from_json_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+    return complexes.from_json_dict(doc)
 
 
 def _emit(text, out):

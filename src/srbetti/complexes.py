@@ -61,11 +61,10 @@ class SimplicialComplex:
     """Downward-closed face family, represented by its facets."""
 
     __slots__ = (
-        "n", "facets", "labels", "vertex_map",
-        "_faces_by_dim", "_face_set", "_t1",
+        "n", "facets", "labels", "_faces_by_dim", "_face_set", "_t1",
     )
 
-    def __init__(self, n, facets, labels=None, vertex_map=None):
+    def __init__(self, n, facets, labels=None):
         if n < 0:
             raise ValueError("ambient vertex count must be nonnegative")
         if n > FACE_GATE:  # per-id lists, such as minimal non-faces, cost O(n)
@@ -80,7 +79,6 @@ class SimplicialComplex:
             if len(set(present)) != len(present):
                 raise ValueError("vertex labels must be pairwise distinct")
         self.labels = labels
-        self.vertex_map = vertex_map
         self._faces_by_dim = None
         self._face_set = None
         self._t1 = None
@@ -149,10 +147,8 @@ class SimplicialComplex:
     # -- derived complexes ------------------------------------------------
 
     def induced(self, w):
-        """Subcomplex of faces contained in w, relabeled to 0..len(w)-1.
-
-        The new complex's vertex_map sends each new id to its old id.
-        """
+        """Subcomplex of faces contained in w, relabeled to 0..len(w)-1 in
+        ascending order of the old ids."""
         w = sorted(set(w))
         if w and (w[0] < 0 or w[-1] >= self.n):
             raise ValueError("vertex set not contained in ambient range")
@@ -160,11 +156,8 @@ class SimplicialComplex:
         return self._relabeled(w, [tuple(v for v in f if v in wset) for f in self.facets])
 
     def link(self, face):
-        """Faces disjoint from `face` whose union with it is a face.
-
-        The result is relabeled onto its own vertex support; vertex_map
-        retains the original ids.
-        """
+        """Faces disjoint from `face` whose union with it is a face,
+        relabeled onto its own vertex support in ascending order."""
         face = tuple(sorted(face))
         if not self.has_face(face):
             raise ValueError(f"{face!r} is not a face")
@@ -174,15 +167,15 @@ class SimplicialComplex:
         return self._relabeled(sorted({v for g in link_facets for v in g}), link_facets)
 
     def _relabeled(self, support, facets):
-        """The complex of `facets`, given on old ids, on the ascending id
-        list `support`, which becomes its vertex_map; labels follow."""
+        """The complex of `facets`, given on old ids, with the ascending id
+        list `support` relabeled to 0..len(support)-1; labels follow."""
         old_to_new = {v: i for i, v in enumerate(support)}
         labels = None
         if self.labels is not None:
             labels = tuple(self.labels[v] for v in support)
         return SimplicialComplex(
             len(support), [tuple(old_to_new[v] for v in f) for f in facets],
-            labels=labels, vertex_map=tuple(support))
+            labels=labels)
 
     # -- non-faces ---------------------------------------------------------
 
@@ -478,6 +471,8 @@ def standard_complex(spec):
         tree = ast.parse(spec.strip(), mode="eval")
     except SyntaxError as exc:
         raise ValueError(f"cannot parse {spec!r}: {exc.msg}") from None
+    except RecursionError:
+        raise ValueError(f"cannot parse {spec[:40]!r}...: nested too deeply") from None
     c = build(tree.body)
     if not isinstance(c, SimplicialComplex):
         raise ValueError(f"{spec!r} is not a complex")

@@ -412,7 +412,7 @@ def reg_after_subdivision(base, mode, r, field, vertex_gate=DEFAULT_VERTEX_GATE,
     if v is None:
         raise GateError(f"edgewise r={r} < d={d} without top homology: only a "
                         f"lower bound on reg above the vertex gate {vertex_gate}")
-    witness = sub.link((v,)).vertex_map
+    witness = {u for f in sub.facets if v in f for u in f} - {v}   # lk(v) on sub's ids
     if all(j != d - 1 for _, j, _ in betti_witness(sub, field, witness)):
         raise ValueError("witness subset does not carry degree d-2 homology")
     return d - 1

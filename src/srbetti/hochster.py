@@ -331,19 +331,20 @@ def _accumulate(payload, lo, hi, known):
             bettis.append(betti)
         return hid
 
-    def search_step(h):
-        """The id of W = lo | h, where h = 0 or W is a block-v subset whose
-        step on v needs a component search or a rank.
+    def search_step(h, dv):
+        """The id of W = lo | h, where W is a block-v subset whose step on
+        v, of link class dv, needs a component search or a rank.
 
-        One walk over the u in W - lo from v up copies W - u's id at the
-        first u whose link is acyclic.  It classifies each u, a known class
-        at v, until one has no higher homology, takes that u as the step
-        vertex and then only reads known classes.  Without a copy, W steps
-        on the step vertex with one component search, or is ranked when
-        there is none."""
+        One walk over the u in W - lo above v copies W - u's id at the
+        first u whose link is acyclic.  The step vertex is the first of v
+        and those u whose link has no higher homology: the walk classifies
+        each u until it has one, then only reads known classes.  Without a
+        copy, W steps on the step vertex with one component search, or is
+        ranked when there is none."""
         w = lo | h
-        mv = d = 0   # the step vertex and its link class
-        rest = h
+        bv = h & -h
+        mv, d = (0, 0) if dv == _HIGHER else (bv, dv)   # the step vertex and its class
+        rest = h ^ bv
         while rest:
             b = rest & -rest
             rest ^= b
@@ -358,7 +359,7 @@ def _accumulate(payload, lo, hi, known):
                                  _components(w, nbr)))
         return key(_induced_betti(w, masks, bnds, nbr, field))
 
-    memo[0] = search_step(0)
+    memo[0] = key(_induced_betti(lo, masks, bnds, nbr, field))
     # id << shift | #(W - lo) -> subsets, over every W whose block is done
     tally = {memo[0]: 1}
     for v in range(m - 1, -1, -1):
@@ -388,7 +389,7 @@ def _accumulate(payload, lo, hi, known):
                 betti = _mv_betti(bettis[k >> shift], k & part)
                 hid = steps[k] = _SEARCH if betti is None else key(betti)
             if hid == _SEARCH:
-                hid = search_step(h)
+                hid = search_step(h, cls[x])
             memo[h] = hid
             size = h.bit_count()
             block[old | size] -= 1

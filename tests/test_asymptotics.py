@@ -364,10 +364,20 @@ class TestMinimalCycle:
     def test_requires_top_homology(self):
         with pytest.raises(ValueError):
             minimal_top_cycle(simplex(2))
+        # over Q the search takes GF(3), whose cycle space on RP^2 is zero
+        with pytest.raises(ValueError, match="no top homology: the cycle space is zero"):
+            minimal_top_cycle(rp2_six(), QQ)
 
-    def test_requires_prime_field(self):
-        with pytest.raises(ValueError):
-            minimal_top_cycle(simplex_boundary(2), QQ)
+    def test_q_takes_a_rank_keeping_prime(self):
+        # the top boundary loses rank mod 2 (RP^2 is a GF(2) cycle) but not
+        # mod 3, so Q enumerates over GF(3) and finds the sphere
+        c = _rp2_glued_to_sphere()
+        mc = minimal_top_cycle(c, QQ)
+        assert mc.f_vector() == (1, 8, 18, 12)
+        assert mc == minimal_top_cycle(c, FieldSpec.prime(3))
+        assert minimal_top_cycle(c, GF2).f_vector() == (1, 6, 15, 10)
+        assert minimal_top_cycle(simplex_boundary(2), QQ).facets == ((0, 1), (0, 2), (1, 2))
+
 
 
 class TestLastStrandLimit:
@@ -402,6 +412,7 @@ class TestLastStrandLimit:
     def test_q_agrees_with_prime_fields(self, c, ratio):
         for field in (QQ, GF2, FieldSpec.prime(3)):
             assert last_strand_limit(c, field) == ratio
+        assert minimal_top_cycle(c, QQ) == minimal_top_cycle(c, GF2)
 
     def test_q_takes_a_rank_keeping_prime(self):
         # 22 triangles: the GF(2) minimal cycle is RP^2 (10), while GF(3)
@@ -559,8 +570,9 @@ class TestVerifyLastStrand:
         # mod 3, so Q takes the GF(3) minimal cycle, the sphere, and reports
         # what GF(3) reports
         c = _rp2_glued_to_sphere()
-        assert asymptotics._cycle_field(c, QQ) == FieldSpec.prime(3)
-        assert asymptotics.minimal_top_cycle(c, FieldSpec.prime(3)).f_vector() == (1, 8, 18, 12)
+        mc = minimal_top_cycle(c, QQ)
+        assert mc == minimal_top_cycle(c, FieldSpec.prime(3))
+        assert mc.f_vector() == (1, 8, 18, 12)
         rep = verify_last_strand(c, r, QQ, mode="edgewise", vertex_gate=vertex_gate)
         assert (rep["method"], rep["v_sigma"]) == (method, v_sigma)
         assert rep["window"] == window and rep["window_nonzero"]
@@ -570,9 +582,16 @@ class TestVerifyLastStrand:
 
     @pytest.mark.parametrize("field, prime", [
         (GF2, GF2), (FieldSpec.prime(3), FieldSpec.prime(3)), (QQ, GF2)], ids=str)
-    def test_cycle_field_of_a_torsion_free_complex(self, pendants, field, prime):
-        # a graph's top boundary has the same rank over every field
-        assert asymptotics._cycle_field(pendants, field) == prime
+    def test_cycle_field_of_a_torsion_free_complex(self, pendants, field, prime,
+                                                   monkeypatch):
+        # a graph's top boundary has the same rank over every field, so Q
+        # enumerates its cycles over GF(2) and finds GF(2)'s cycle
+        primes = []
+        kernel = asymptotics.kernel_basis
+        monkeypatch.setattr(asymptotics, "kernel_basis",
+                            lambda c, k, p: primes.append(p) or kernel(c, k, p))
+        assert minimal_top_cycle(pendants, field) == minimal_top_cycle(pendants, prime)
+        assert primes == [prime.p] * 2
 
     def test_q_refuses_a_support_without_a_rational_cycle(self, pendants,
                                                           monkeypatch):

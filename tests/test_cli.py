@@ -71,6 +71,18 @@ def test_betti_worker_output_identical(capsys, tmp_path, monkeypatch):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("argv", [
+    ["thm-bar", "--d", "3"], ["edgewise", "--d", "3", "--r", "3"],
+    ["depth-invariance"], ["reg"]], ids=lambda argv: argv[0])
+def test_verify_worker_output_identical(capsys, monkeypatch, argv):
+    # blocks of 2^4 subsets, so that every table past 16 subsets forks
+    monkeypatch.setattr(hochster, "BLOCK_BITS", 4)
+    code1, out1, err1 = run(capsys, "verify", *argv, "--workers", "1")
+    code3, out3, err3 = run(capsys, "verify", *argv, "--workers", "3")
+    assert code1 == 0 and json.loads(out1)["passed"]
+    assert (code1, out1, err1) == (code3, out3, err3)
+
+
 def test_subdivide_round_trip(capsys, c6_file, tmp_path):
     out_path = tmp_path / "sub.json"
     code, _, _ = run(capsys, "subdivide", c6_file, "--mode", "edgewise",
@@ -243,6 +255,22 @@ def test_generate_standard_refuses_bad_spec(capsys, spec):
     code, out, err = run(capsys, "generate", "standard", spec)
     assert code == 2 and not out
     assert err.count("\n") == 1 and spec in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["info", "NESTED"],
+    ["selftest", "--fixtures", "DIR"],
+    ["generate", "standard", "cycle(" + "1+" * 2999 + "3)"],
+], ids=["info", "selftest-fixtures", "generate-standard"])
+def test_deeply_nested_input_exits_2(capsys, tmp_path, argv):
+    # the JSON decoder and ast.parse recurse once per level, so input nested
+    # past the recursion limit is refused with one line, not a traceback
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200_000)
+    argv = [{"NESTED": str(nested), "DIR": str(tmp_path)}.get(a, a) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert err.count("\n") == 1 and "nested too deeply" in err
 
 
 def test_limits_lambda(capsys):

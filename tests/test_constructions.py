@@ -185,7 +185,7 @@ class TestDerivedAgainstOracles:
         for c in self.complexes(raw):
             w = [v for v in range(c.n) if mask >> v & 1]
             sub = c.induced(w)
-            assert sub.n == len(w) and sub.vertex_map == tuple(w)
+            assert sub.n == len(w)
             assert sub.labels == (None if c.labels is None
                                   else tuple(c.labels[v] for v in w))
             want = {f for f in c.face_set if set(f) <= set(w)}
@@ -204,7 +204,7 @@ class TestDerivedAgainstOracles:
             want = {f for f in faces
                     if not set(f) & set(face) and tuple(sorted(f + face)) in faces}
             sup = sorted({v for f in want for v in f})
-            assert lk.n == len(sup) and lk.vertex_map == tuple(sup)
+            assert lk.n == len(sup)
             assert lk.labels == (None if c.labels is None
                                  else tuple(c.labels[v] for v in sup))
             assert {tuple(sup[v] for v in f) for f in lk.face_set} == want
